@@ -9,7 +9,14 @@ import argparse
 import json
 import sys
 
-from .exact_math import Quadrant, Vec2, l1_norm, parse_rational, quadrant_of
+from .exact_math import (
+    Quadrant,
+    Vec2,
+    l1_norm,
+    parse_rational,
+    quadrant_of,
+    quadrant_representative,
+)
 from .lattice import (
     LatticeBasis,
     QuadrantBasis,
@@ -106,22 +113,15 @@ def _sign_pair_from_basis(basis: LatticeBasis) -> QuadrantBasis:
     Needs one strictly off-axis same-sign vector and one opposite-sign vector,
     in either order; signs are canonicalized.
     """
-
-    def canon_q1(w: Vec2) -> Vec2:
-        return -w if (w.x < 0 or (w.x == 0 and w.y < 0)) else w
-
-    def canon_q2(w: Vec2) -> Vec2:
-        return -w if w.x > 0 else w
-
     for first, second in ((basis.u, basis.v), (basis.v, basis.u)):
         if quadrant_of(first) is Quadrant.Q1 and quadrant_of(second) is Quadrant.Q2:
-            c1 = canon_q1(first)
+            c1 = quadrant_representative(first)
             if c1.x * c1.y == 0:
                 raise AxisAlignedGeneratorError(
                     f"{first} lies on an axis; the two-rectangle construction "
                     "does not apply"
                 )
-            return QuadrantBasis(c1, canon_q2(second))
+            return QuadrantBasis(c1, quadrant_representative(second))
     raise AxisAlignedGeneratorError(
         "basis does not split into a same-sign and an opposite-sign vector"
     )
@@ -227,12 +227,8 @@ def _cmd_oracle(args) -> int:
     for pt in points:
         if pt.is_zero():
             continue
-        if quadrant_of(pt) is Quadrant.Q1:
-            w = -pt if (pt.x < 0 or (pt.x == 0 and pt.y < 0)) else pt
-            side = Quadrant.Q1
-        else:
-            w = -pt if pt.x > 0 else pt
-            side = Quadrant.Q2
+        side = quadrant_of(pt)
+        w = quadrant_representative(pt)
         key = (l1_norm(w), w.y, w.x)
         if best[side] is None or key < best[side][0]:
             best[side] = (key, w)

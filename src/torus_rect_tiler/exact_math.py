@@ -85,6 +85,18 @@ def quadrant_of(v: Vec2) -> Quadrant:
     return Quadrant.Q1 if v.x * v.y >= 0 else Quadrant.Q2
 
 
+def quadrant_representative(v: Vec2) -> Vec2:
+    """The canonical one of v and -v for its quadrant.
+
+    Q1 vectors get x > 0, or x = 0 with y > 0; Q2 vectors get x < 0 < y.
+    """
+    if quadrant_of(v) is Quadrant.Q1:
+        flip = v.x < 0 or (v.x == 0 and v.y < 0)
+    else:
+        flip = v.x > 0
+    return -v if flip else v
+
+
 def rat_gcd(a, b) -> Fraction:
     """Largest positive rational g with a and b both integer multiples of g.
 

@@ -250,6 +250,7 @@ def quadrant_basis(basis: LatticeBasis) -> QuadrantBasis:
             b = z1 * uy + z2 * vy
             if a == 0 and b == 0:
                 continue
+            # Sign classes inlined: a helper call per pair slows this hot loop.
             if (a > 0 > b) or (a < 0 < b):
                 if a > 0:
                     a, b = -a, -b
@@ -262,7 +263,6 @@ def quadrant_basis(basis: LatticeBasis) -> QuadrantBasis:
                 key = (a + b, b, a)
                 if best1 is None or key < best1:
                     best1 = key
-    assert best1 is not None and best2 is not None
     u1 = Vec2(Fraction(best1[2], den), Fraction(best1[1], den))
     u2 = Vec2(Fraction(best2[2], den), Fraction(best2[1], den))
     result = QuadrantBasis(u1, u2)
@@ -276,15 +276,13 @@ class AxisPeriods:
     """Least positive axis-aligned lattice steps and one-rectangle lengths.
 
     d_x is the least a > 0 with (a, 0) in the lattice, m_x = d_x + cov/d_x the
-    length of the width-d_x one-rectangle tiling; d_y/m_y likewise.  None
-    encodes "no such axis point" for completeness; it never occurs for
-    rational bases.
+    length of the width-d_x one-rectangle tiling; d_y/m_y likewise.
     """
 
-    d_x: Optional[Fraction]
-    d_y: Optional[Fraction]
-    m_x: Optional[Fraction]
-    m_y: Optional[Fraction]
+    d_x: Fraction
+    d_y: Fraction
+    m_x: Fraction
+    m_y: Fraction
 
 
 def axis_periods(basis: LatticeBasis) -> AxisPeriods:
@@ -314,8 +312,8 @@ class Winner(Enum):
 class MinLengthReport:
     covolume: Fraction
     quadrant_sum: Fraction
-    m_x: Optional[Fraction]
-    m_y: Optional[Fraction]
+    m_x: Fraction
+    m_y: Fraction
     min_length: Fraction
     winner: Winner
     witness: QuadrantBasis
@@ -324,8 +322,8 @@ class MinLengthReport:
         return {
             "covolume": str(self.covolume),
             "quadrant_sum": str(self.quadrant_sum),
-            "m_x": None if self.m_x is None else str(self.m_x),
-            "m_y": None if self.m_y is None else str(self.m_y),
+            "m_x": str(self.m_x),
+            "m_y": str(self.m_y),
             "min_length": str(self.min_length),
             "winner": self.winner.value,
             "witness": {
@@ -346,14 +344,10 @@ def min_length(basis: LatticeBasis) -> MinLengthReport:
     qb = quadrant_basis(basis)
     periods = axis_periods(basis)
     qsum = qb.length_sum
-    candidates = [qsum]
-    for m in (periods.m_x, periods.m_y):
-        if m is not None:
-            candidates.append(m)
-    best = min(candidates)
-    if periods.m_x is not None and periods.m_x == best:
+    best = min(qsum, periods.m_x, periods.m_y)
+    if periods.m_x == best:
         winner = Winner.ONE_RECT_X
-    elif periods.m_y is not None and periods.m_y == best:
+    elif periods.m_y == best:
         winner = Winner.ONE_RECT_Y
     else:
         winner = Winner.TWO_RECT

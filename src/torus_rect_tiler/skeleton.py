@@ -3,22 +3,26 @@ skeleton graphs, axis path decomposition, and the path-merging reduction.
 
 Points on the torus are identified by a canonical representative inside the
 fundamental parallelogram.  Horizontal torus lines form a circle family with
-spacing g_y = cov/d_x and circumference d_x (vertical lines symmetrically), so
-every edge computation reduces to exact interval arithmetic on a circle.
+spacing g_y = cov/d_x and circumference d_x (vertical lines symmetrically).
+Each family is read off one Hermite form of the lattice,
+{a*(d_x, 0) + b*(shear, g_y)}, computed once per basis, so locating a point on
+its line is two exact remainders.  One placement routine maps axis segments
+(rectangle sides or skeleton edges) onto lines cut at the segment endpoints;
+the skeleton's edges, its cycle/path decomposition and the reduction's choice
+of path are all read off those lines' covered arcs and runs.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from typing import Iterable
 
 from .exact_math import Vec2
 from .lattice import (
     LatticeBasis,
-    axis_periods,
     basis_coordinates,
     lattice_point,
     lattice_points_in_box,
@@ -160,7 +164,7 @@ class Skeleton:
 
 
 # ---------------------------------------------------------------------------
-# Torus line geometry shared by skeleton construction, decomposition, reduction
+# Torus lines shared by skeleton construction, decomposition and reduction
 
 
 def _fmod(a: Fraction, m: Fraction) -> Fraction:
@@ -182,71 +186,62 @@ def _egcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _lattice_point_with_component(
-    basis: LatticeBasis, delta: Fraction, component: str
-) -> Vec2:
-    """Some lattice point whose chosen coordinate equals delta.
-
-    delta must lie in the projection lattice of that coordinate (a multiple of
-    rat_gcd of the two basis components), which holds for every caller here.
-    """
-    cu = basis.u.y if component == "y" else basis.u.x
-    cv = basis.v.y if component == "y" else basis.v.x
-    den = math.lcm(cu.denominator, cv.denominator, delta.denominator)
-    a, b, d = int(cu * den), int(cv * den), int(delta * den)
-    g, x, y = _egcd(a, b)
-    if g == 0:
-        if d:
-            raise ValueError("no lattice point has that coordinate")
-        return Vec2(0, 0)
-    if d % g:
-        raise ValueError(f"{delta} is not in the {component}-projection lattice")
-    k = d // g
-    return lattice_point(basis, x * k, y * k)
-
-
-@dataclass
+@dataclass(frozen=True)
 class _AxisFrame:
-    """Circle coordinates for one family of parallel torus lines."""
+    """Hermite form of the lattice for one family of parallel torus lines.
 
-    basis: LatticeBasis
-    orientation: Orientation
-    circumference: Fraction  # d_x for H lines, d_y for V lines
-    spacing: Fraction  # gap between neighbouring lines of the family
+    For H lines the lattice is {a*(circumference, 0) + b*(shear, spacing)}:
+    spacing is the least positive y of a lattice point and circumference
+    d_x = cov/spacing the least positive x of one on the x-axis.  V lines swap
+    the axes.
+    """
+
+    circumference: Fraction
+    spacing: Fraction
+    shear: Fraction  # along-coordinate of a lattice vector one spacing across
 
     def locate(self, along: Fraction, offset: Fraction) -> tuple[Fraction, Fraction]:
         """Map a planar position to (line key, circle coordinate).
 
         ``offset`` is the coordinate across the family (y for H), ``along``
-        the one measured around the circle (x for H).
+        the one measured around the circle (x for H).  The point
+        (coord, key) for H, (key, coord) for V, differs from the input by a
+        lattice vector.
         """
-        component = "y" if self.orientation is Orientation.H else "x"
-        key = _fmod(offset, self.spacing)
-        lam = _lattice_point_with_component(self.basis, offset - key, component)
-        lam_along = lam.x if self.orientation is Orientation.H else lam.y
-        coord = _fmod(along - lam_along, self.circumference)
-        return key, coord
+        steps = math.floor(offset / self.spacing)
+        key = offset - steps * self.spacing
+        return key, _fmod(along - steps * self.shear, self.circumference)
 
 
 def _axis_frames(basis: LatticeBasis) -> dict[Orientation, _AxisFrame]:
-    periods = axis_periods(basis)
-    cov = basis.covolume
-    return {
-        Orientation.H: _AxisFrame(basis, Orientation.H, periods.d_x, cov / periods.d_x),
-        Orientation.V: _AxisFrame(basis, Orientation.V, periods.d_y, cov / periods.d_y),
-    }
+    frames = {}
+    for orientation in Orientation:
+        if orientation is Orientation.H:
+            across, along = (basis.u.y, basis.v.y), (basis.u.x, basis.v.x)
+        else:
+            across, along = (basis.u.x, basis.v.x), (basis.u.y, basis.v.y)
+        den = math.lcm(across[0].denominator, across[1].denominator)
+        g, a, b = _egcd(int(across[0] * den), int(across[1] * den))
+        spacing = Fraction(g, den)
+        circumference = basis.covolume / spacing
+        shear = _fmod(a * along[0] + b * along[1], circumference)
+        frames[orientation] = _AxisFrame(circumference, spacing, shear)
+    return frames
 
 
 @dataclass
 class _Line:
-    """One torus line: vertex cut positions and which elementary arcs are covered."""
+    """One torus line: sorted cut positions and which arcs between them are covered.
 
-    orientation: Orientation
-    key: Fraction
+    Arc i runs from cuts[i] to the next cut around the circle.
+    """
+
     circumference: Fraction
-    vertex_at: dict[Fraction, TorusPoint] = field(default_factory=dict)
-    cuts: list[Fraction] = field(default_factory=list)
-    covered: list[bool] = field(default_factory=list)
+    cuts: list[Fraction]
+    covered: list[bool] = field(init=False)
+
+    def __post_init__(self):
+        self.covered = [False] * len(self.cuts)
 
     def arc_length(self, i: int) -> Fraction:
         m = len(self.cuts)
@@ -257,107 +252,83 @@ class _Line:
             return self.cuts[j] - self.cuts[i]
         return self.circumference - self.cuts[-1] + self.cuts[0]
 
+    def runs(self) -> list[list[int]]:
+        """Maximal runs of consecutive covered arcs.
 
-@dataclass
-class _SidePlacement:
-    """A rectangle side mapped onto its torus line."""
-
-    rect_index: int
-    side: str  # bottom | top | left | right
-    orientation: Orientation
-    key: Fraction
-    start: Fraction
-    length: Fraction
-    arcs: tuple[int, ...] = ()
-
-
-_SIDES = (
-    ("bottom", Orientation.H),
-    ("top", Orientation.H),
-    ("left", Orientation.V),
-    ("right", Orientation.V),
-)
-
-
-def _side_span(rect: Rect, side: str) -> tuple[Fraction, Fraction, Fraction]:
-    # (offset across the family, span start, span end)
-    if side == "bottom":
-        return rect.y0, rect.x0, rect.x1
-    if side == "top":
-        return rect.y1, rect.x0, rect.x1
-    if side == "left":
-        return rect.x0, rect.y0, rect.y1
-    return rect.x1, rect.y0, rect.y1
+        A fully covered line is one run (a cycle) starting at cut 0; otherwise
+        the runs (paths) come ordered by their first cut.
+        """
+        m = len(self.covered)
+        if all(self.covered):
+            return [list(range(m))]
+        runs = []
+        for i in range(m):
+            if self.covered[i] and not self.covered[i - 1]:
+                run = [i]
+                j = (i + 1) % m
+                while self.covered[j]:
+                    run.append(j)
+                    j = (j + 1) % m
+                runs.append(run)
+        return runs
 
 
-def _build_lines(
-    tiling: Tiling,
-) -> tuple[
-    list[TorusPoint],
-    dict[tuple[Orientation, Fraction], _Line],
-    dict[tuple[int, str], _SidePlacement],
-]:
-    """Place all corners and sides of a (verified) tiling onto torus lines.
+_LineId = tuple[Orientation, Fraction]
 
-    Vertices are the canonical corner images; each line records the circle
-    coordinates of the vertices on it (the cut points) and which elementary
-    arcs between consecutive cuts are covered by at least one side.
+
+def _place(
+    basis: LatticeBasis,
+    segments: Iterable[tuple[Orientation, Fraction, Fraction, Fraction]],
+) -> tuple[dict[_LineId, _Line], list[tuple[_LineId, tuple[int, ...]]]]:
+    """Map axis segments (orientation, along, offset, length) onto torus lines.
+
+    Each line is cut at the endpoints of the segments on it; the result holds
+    the lines by (orientation, key) and, per segment in input order, its line
+    and the arcs it covers.
     """
-    basis = tiling.basis
     frames = _axis_frames(basis)
+    cut_sets: dict[_LineId, set[Fraction]] = {}
+    located = []
+    for orientation, along, offset, length in segments:
+        frame = frames[orientation]
+        key, start = frame.locate(along, offset)
+        end = _fmod(start + length, frame.circumference)
+        cut_sets.setdefault((orientation, key), set()).update((start, end))
+        located.append(((orientation, key), start, length))
 
-    vertex_set = {
-        canonicalize(basis, corner)
-        for rect in tiling.rects
-        for corner in rect.corners()
+    lines = {
+        line_id: _Line(frames[line_id[0]].circumference, sorted(cuts))
+        for line_id, cuts in cut_sets.items()
     }
-    vertices = sorted(vertex_set, key=lambda w: (w.rep.x, w.rep.y))
+    cut_index = {
+        line_id: {c: i for i, c in enumerate(line.cuts)}
+        for line_id, line in lines.items()
+    }
+    placed = []
+    for line_id, start, remaining in located:
+        line = lines[line_id]
+        i = cut_index[line_id][start]
+        arcs = []
+        while remaining > 0:
+            arcs.append(i)
+            line.covered[i] = True
+            remaining -= line.arc_length(i)
+            i = (i + 1) % len(line.cuts)
+        placed.append((line_id, tuple(arcs)))
+    return lines, placed
 
-    lines: dict[tuple[Orientation, Fraction], _Line] = {}
-    for w in vertices:
-        for orientation, frame in frames.items():
-            if orientation is Orientation.H:
-                along, offset = w.rep.x, w.rep.y
-            else:
-                along, offset = w.rep.y, w.rep.x
-            key, coord = frame.locate(along, offset)
-            line = lines.setdefault(
-                (orientation, key), _Line(orientation, key, frame.circumference)
-            )
-            line.vertex_at[coord] = w
 
-    placements: dict[tuple[int, str], _SidePlacement] = {}
-    per_line: dict[tuple[Orientation, Fraction], list[_SidePlacement]] = {}
-    for idx, rect in enumerate(tiling.rects):
-        for side, orientation in _SIDES:
-            offset, lo, hi = _side_span(rect, side)
-            key, start = frames[orientation].locate(lo, offset)
-            pl = _SidePlacement(idx, side, orientation, key, start, hi - lo)
-            placements[(idx, side)] = pl
-            per_line.setdefault((orientation, key), []).append(pl)
+def _sides(rects: Iterable[Rect]):
+    # Bottom, top, left and right side of each rectangle, as _place segments.
+    for r in rects:
+        yield Orientation.H, r.x0, r.y0, r.width
+        yield Orientation.H, r.x0, r.y1, r.width
+        yield Orientation.V, r.y0, r.x0, r.height
+        yield Orientation.V, r.y0, r.x1, r.height
 
-    for line_id, line in lines.items():
-        line.cuts = sorted(line.vertex_at)
-        line.covered = [False] * len(line.cuts)
-        for pl in per_line.get(line_id, ()):
-            i = bisect_left(line.cuts, pl.start)
-            if i >= len(line.cuts) or line.cuts[i] != pl.start:
-                raise AssertionError("side endpoint is not a vertex cut")
-            remaining = pl.length
-            arcs = []
-            while remaining > 0:
-                arcs.append(i)
-                line.covered[i] = True
-                remaining -= line.arc_length(i)
-                i = (i + 1) % len(line.cuts)
-            if remaining:
-                raise AssertionError("side does not land on a vertex cut")
-            pl.arcs = tuple(arcs)
 
-    orphans = set(per_line) - set(lines)
-    if orphans:
-        raise AssertionError(f"sides on lines without vertices: {orphans}")
-    return vertices, lines, placements
+def _sorted_line_ids(lines: dict[_LineId, _Line]) -> list[_LineId]:
+    return sorted(lines, key=lambda line_id: (line_id[0].value, line_id[1]))
 
 
 def build_skeleton(tiling: Tiling) -> Skeleton:
@@ -372,28 +343,25 @@ def build_skeleton(tiling: Tiling) -> Skeleton:
         raise InvalidTilingError(
             "; ".join(f"{v.kind.value}: {v.detail}" for v in report.violations)
         )
-    return _skeleton_unchecked(tiling)
-
-
-def _skeleton_unchecked(tiling: Tiling) -> Skeleton:
-    vertices, lines, _ = _build_lines(tiling)
+    basis = tiling.basis
+    lines, _ = _place(basis, _sides(tiling.rects))
+    # Every cut is a corner image, and every corner lies on one H line.
+    vertices = set()
     edges = []
-    for (_, _), line in sorted(
-        lines.items(), key=lambda item: (item[0][0].value, item[0][1])
-    ):
-        for i, is_covered in enumerate(line.covered):
-            if is_covered:
-                edges.append(
-                    SkeletonEdge(
-                        line.vertex_at[line.cuts[i]],
-                        line.orientation,
-                        line.arc_length(i),
-                    )
-                )
+    for (orientation, key), line in lines.items():
+        for i, cut in enumerate(line.cuts):
+            if orientation is Orientation.H:
+                w = canonicalize(basis, Vec2(cut, key))
+                vertices.add(w)
+            else:
+                w = canonicalize(basis, Vec2(key, cut))
+            if line.covered[i]:
+                edges.append(SkeletonEdge(w, orientation, line.arc_length(i)))
     edges.sort(
         key=lambda e: (e.orientation.value, e.origin.rep.x, e.origin.rep.y, e.length)
     )
-    return Skeleton(tiling.basis, tuple(vertices), tuple(edges))
+    ordered = sorted(vertices, key=lambda w: (w.rep.x, w.rep.y))
+    return Skeleton(basis, tuple(ordered), tuple(edges))
 
 
 @dataclass(frozen=True)
@@ -407,55 +375,35 @@ class AxisPathDecomposition:
 
 
 def decompose_axis_paths(skeleton: Skeleton) -> AxisPathDecomposition:
-    """Group each orientation's edges by torus line and chain them.
+    """Place each edge on its torus line and read off the covered runs.
 
     A line whose covered arcs close the full circle is a cycle (its length is
     then the axis period); otherwise each maximal run of consecutive arcs is
-    one maximal path.
+    one maximal path.  Raises ValueError when an edge is not exactly one arc
+    of its line, or two edges cover the same arc (a hand-built skeleton).
     """
-    frames = _axis_frames(skeleton.basis)
-    groups: dict[tuple[Orientation, Fraction], list[tuple[Fraction, SkeletonEdge]]] = {}
-    for edge in skeleton.edges:
-        frame = frames[edge.orientation]
-        if edge.orientation is Orientation.H:
-            along, offset = edge.origin.rep.x, edge.origin.rep.y
-        else:
-            along, offset = edge.origin.rep.y, edge.origin.rep.x
-        key, coord = frame.locate(along, offset)
-        groups.setdefault((edge.orientation, key), []).append((coord, edge))
+    lines, placed = _place(
+        skeleton.basis,
+        (
+            (e.orientation, e.origin.rep.x, e.origin.rep.y, e.length)
+            if e.orientation is Orientation.H
+            else (e.orientation, e.origin.rep.y, e.origin.rep.x, e.length)
+            for e in skeleton.edges
+        ),
+    )
+    edge_at: dict[tuple[_LineId, int], SkeletonEdge] = {}
+    for edge, (line_id, arcs) in zip(skeleton.edges, placed):
+        if len(arcs) != 1 or (line_id, arcs[0]) in edge_at:
+            raise ValueError(f"skeleton edge {edge} is not one arc of its line")
+        edge_at[line_id, arcs[0]] = edge
 
     cycles = {Orientation.H: [], Orientation.V: []}
     paths = {Orientation.H: [], Orientation.V: []}
-    for (orientation, key) in sorted(groups, key=lambda g: (g[0].value, g[1])):
-        circ = frames[orientation].circumference
-        items = groups[(orientation, key)]
-        starts = {coord: edge for coord, edge in items}
-        ends = {_fmod(coord + edge.length, circ) for coord, edge in items}
-        heads = sorted(c for c in starts if c not in ends)
-
-        def chain(from_coord: Fraction) -> tuple[list[SkeletonEdge], Fraction]:
-            run = []
-            c = from_coord
-            while c in starts:
-                edge = starts.pop(c)
-                run.append(edge)
-                c = _fmod(c + edge.length, circ)
-            return run, c
-
-        if not heads:
-            first = min(starts)
-            run, endc = chain(first)
-            if endc != first or starts:
-                raise AssertionError("cycle does not close over its line")
-            if sum((e.length for e in run), Fraction(0)) != circ:
-                raise AssertionError("cycle length differs from the axis period")
-            cycles[orientation].append(tuple(run))
-        else:
-            for head in heads:
-                run, _ = chain(head)
-                paths[orientation].append(tuple(run))
-            if starts:
-                raise AssertionError("unchained edges left on a line")
+    for line_id in _sorted_line_ids(lines):
+        line = lines[line_id]
+        found = cycles if all(line.covered) else paths
+        for run in line.runs():
+            found[line_id[0]].append(tuple(edge_at[line_id, i] for i in run))
     return AxisPathDecomposition(
         cycles_h=tuple(cycles[Orientation.H]),
         paths_h=tuple(paths[Orientation.H]),
@@ -529,23 +477,21 @@ def reduce_tiling_with_trace(
     current = tiling
     steps: list[ReductionStep] = []
     for _ in range(len(tiling.rects) + 2):
-        _, lines, placements = _build_lines(current)
+        lines, placed = _place(current.basis, _sides(current.rects))
         runs_by_axis: dict[Orientation, list] = {
             Orientation.H: [],
             Orientation.V: [],
         }
-        for (orientation, key), line in sorted(
-            lines.items(), key=lambda item: (item[0][0].value, item[0][1])
-        ):
-            if line.covered and all(line.covered):
+        for line_id in _sorted_line_ids(lines):
+            orientation, key = line_id
+            line = lines[line_id]
+            if all(line.covered):
                 raise CycleExistsError(
                     f"{orientation.value}-cycle on line {key}: the path-merging "
                     "reduction does not apply"
                 )
-            for run in _covered_runs(line.covered):
-                runs_by_axis[orientation].append(
-                    (key, line.cuts[run[0]], frozenset(run))
-                )
+            for run in line.runs():
+                runs_by_axis[orientation].append((line_id, line.cuts[run[0]], set(run)))
 
         if len(runs_by_axis[Orientation.H]) > 1:
             orientation = Orientation.H
@@ -553,31 +499,26 @@ def reduce_tiling_with_trace(
             orientation = Orientation.V
         else:
             break
-        target_key, target_start, target_arcs = min(
-            runs_by_axis[orientation], key=lambda t: (t[0], t[1])
-        )
+        # Lines and their runs are already in (line key, start cut) order.
+        target_line, target_start, target_arcs = runs_by_axis[orientation][0]
+        # Index of the low and high side among a rectangle's _sides.
+        lo_side, hi_side = (0, 1) if orientation is Orientation.H else (2, 3)
 
-        hi_name, lo_name = (
-            ("top", "bottom") if orientation is Orientation.H else ("right", "left")
-        )
-
-        def on_target(idx: int, side: str) -> bool:
-            pl = placements[(idx, side)]
-            if pl.orientation is not orientation or pl.key != target_key:
+        def on_target(idx: int, side: int) -> bool:
+            line_id, arcs = placed[4 * idx + side]
+            if line_id != target_line or target_arcs.isdisjoint(arcs):
                 return False
-            arcs = set(pl.arcs)
-            overlap = arcs & target_arcs
-            if overlap and overlap != arcs:
+            if not target_arcs.issuperset(arcs):
                 raise ReductionStepInvalidError(
                     "rectangle side straddles two maximal paths"
                 )
-            return overlap == arcs
+            return True
 
         s1, s2, s3 = [], [], []
         hi_on, lo_on = {}, {}
         for idx in range(len(current.rects)):
-            hi_on[idx] = on_target(idx, hi_name)
-            lo_on[idx] = on_target(idx, lo_name)
+            hi_on[idx] = on_target(idx, hi_side)
+            lo_on[idx] = on_target(idx, lo_side)
             if hi_on[idx] and lo_on[idx]:
                 s1.append(idx)
             elif hi_on[idx]:
@@ -627,7 +568,7 @@ def reduce_tiling_with_trace(
         steps.append(
             ReductionStep(
                 axis=orientation,
-                line_key=target_key,
+                line_key=target_line[1],
                 path_start=target_start,
                 mirrored=mirrored,
                 s1=tuple(s1),
@@ -643,19 +584,3 @@ def reduce_tiling_with_trace(
     else:
         raise ReductionStepInvalidError("reduction did not terminate")
     return current, tuple(steps)
-
-
-def _covered_runs(covered: list[bool]) -> list[list[int]]:
-    # Maximal runs of consecutive covered arcs on a circle that is not fully
-    # covered (full cover is the cycle case, handled by the caller).
-    m = len(covered)
-    runs = []
-    for i in range(m):
-        if covered[i] and not covered[(i - 1) % m]:
-            run = [i]
-            j = (i + 1) % m
-            while covered[j] and j != i:
-                run.append(j)
-                j = (j + 1) % m
-            runs.append(run)
-    return runs

@@ -9,7 +9,6 @@ when attribute text is emitted, so identical inputs give identical bytes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact_math import Vec2
@@ -24,27 +23,6 @@ def _round3(x: Fraction) -> str:
     whole, frac = divmod(abs(m), 1000)
     text = f"{whole}.{frac:03d}".rstrip("0").rstrip(".")
     return ("-" + text) if m < 0 else text
-
-
-@dataclass
-class SvgScene:
-    """Viewport transform plus accumulated element markup."""
-
-    scale: Fraction
-    min_x: Fraction
-    max_y: Fraction
-    width_px: Fraction
-    height_px: Fraction
-    elements: list[str] = field(default_factory=list)
-
-    def point(self, p: Vec2) -> tuple[str, str]:
-        return (
-            _round3((p.x - self.min_x) * self.scale),
-            _round3((self.max_y - p.y) * self.scale),
-        )
-
-    def add(self, markup: str) -> None:
-        self.elements.append(markup)
 
 
 def render_tiling_svg(tiling: Tiling, width: int = 640) -> str:
@@ -62,46 +40,44 @@ def render_tiling_svg(tiling: Tiling, width: int = 640) -> str:
     x_lo, x_hi = min(xs) - pad, max(xs) + pad
     y_lo, y_hi = min(ys) - pad, max(ys) + pad
     scale = Fraction(width) / (x_hi - x_lo)
-    scene = SvgScene(
-        scale=scale,
-        min_x=x_lo,
-        max_y=y_hi,
-        width_px=Fraction(width),
-        height_px=(y_hi - y_lo) * scale,
-    )
+
+    def point(p: Vec2) -> tuple[str, str]:
+        return _round3((p.x - x_lo) * scale), _round3((y_hi - p.y) * scale)
+
+    elements = []
 
     par = (origin, basis.u, basis.u + basis.v, basis.v)
-    points_attr = " ".join(",".join(scene.point(p)) for p in par)
-    scene.add(
+    points_attr = " ".join(",".join(point(p)) for p in par)
+    elements.append(
         f'<polygon class="cell" points="{points_attr}" fill="none" '
         'stroke="#999999" stroke-dasharray="6,4" stroke-width="1"/>'
     )
 
     for lam in lattice_points_in_box(basis, x_lo, x_hi, y_lo, y_hi):
-        cx, cy = scene.point(lam)
-        scene.add(
+        cx, cy = point(lam)
+        elements.append(
             f'<circle class="lattice-point" cx="{cx}" cy="{cy}" r="3" fill="#444444"/>'
         )
 
     for rect in tiling.rects:
-        x, y = scene.point(Vec2(rect.x0, rect.y1))
+        x, y = point(Vec2(rect.x0, rect.y1))
         w = _round3(rect.width * scale)
         h = _round3(rect.height * scale)
-        scene.add(
+        elements.append(
             f'<rect class="tile" x="{x}" y="{y}" width="{w}" height="{h}" '
             'fill="#76b5e4" fill-opacity="0.35" stroke="#1f5e91" stroke-width="2"/>'
         )
 
     for vector in (basis.u, basis.v):
-        x0, y0 = scene.point(origin)
-        x1, y1 = scene.point(vector)
-        scene.add(
+        x0, y0 = point(origin)
+        x1, y1 = point(vector)
+        elements.append(
             f'<path class="arrow" d="M {x0} {y0} L {x1} {y1}" fill="none" '
             'stroke="#c03020" stroke-width="2.5" marker-end="url(#arrowhead)"/>'
         )
 
-    w_attr = _round3(scene.width_px)
-    h_attr = _round3(scene.height_px)
+    w_attr = _round3(Fraction(width))
+    h_attr = _round3((y_hi - y_lo) * scale)
     head = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w_attr}" '
@@ -112,4 +88,4 @@ def render_tiling_svg(tiling: Tiling, width: int = 640) -> str:
         "</marker>",
         "</defs>",
     ]
-    return "\n".join(head + scene.elements + ["</svg>"]) + "\n"
+    return "\n".join(head + elements + ["</svg>"]) + "\n"

@@ -139,7 +139,6 @@ def build_optimal(basis: LatticeBasis, report: MinLengthReport | None = None) ->
     if report.winner is Winner.ONE_RECT_Y:
         return build_one_rect(basis, Axis.Y)
     # Two rectangles win only strictly, which forces u1 off both axes.
-    assert report.witness.u1.x * report.witness.u1.y > 0
     return build_two_rect(basis, report.witness)
 
 

@@ -6,9 +6,11 @@ from fractions import Fraction
 
 from torus_rect_tiler import (
     LatticeBasis,
+    Orientation,
     Rect,
     Tiling,
     Vec2,
+    canonicalize,
     enumerate_lattice_points,
     l1_norm,
 )
@@ -113,3 +115,39 @@ def brute_axis_period(basis: LatticeBasis, axis: str) -> Fraction:
             return Fraction(a)
         k += 1
         assert k <= det + 1, "axis period scan ran away"
+
+
+def brute_axis_decomposition(skeleton) -> dict:
+    """Per orientation, (cycles as edge frozensets, paths as ordered edge tuples).
+
+    Independent of the torus-line model in skeleton.py: edges are chained by
+    their canonical endpoints canonicalize(origin + length * axis) alone.
+    """
+    result = {}
+    for orientation in Orientation:
+        axis = Vec2(1, 0) if orientation is Orientation.H else Vec2(0, 1)
+        edges = [e for e in skeleton.edges if e.orientation is orientation]
+        leaving = {e.origin: e for e in edges}
+        end = {
+            e: canonicalize(skeleton.basis, e.origin.rep + axis.scaled(e.length))
+            for e in edges
+        }
+        entered = set(end.values())
+        paths = set()
+        for e in edges:
+            if e.origin in entered:
+                continue
+            path = [e]
+            while end[path[-1]] in leaving:
+                path.append(leaving[end[path[-1]]])
+            paths.add(tuple(path))
+        unchained = set(edges) - {e for path in paths for e in path}
+        cycles = set()
+        while unchained:
+            cycle = [unchained.pop()]
+            while leaving[end[cycle[-1]]] is not cycle[0]:
+                cycle.append(leaving[end[cycle[-1]]])
+            unchained -= set(cycle)
+            cycles.add(frozenset(cycle))
+        result[orientation] = (cycles, paths)
+    return result

@@ -14,6 +14,7 @@ from torus_rect_tiler import (
     quadrant_of,
     rat_gcd,
 )
+from torus_rect_tiler.exact_math import quadrant_representative
 from conftest import random_rational
 
 
@@ -54,6 +55,21 @@ def test_quadrant_examples():
     assert quadrant_of(Vec2(3, 5)) is Quadrant.Q1
     assert quadrant_of(Vec2(-4, 1)) is Quadrant.Q2
     assert quadrant_of(Vec2(0, 7)) is Quadrant.Q1
+
+
+def test_quadrant_representative_picks_the_canonical_sign():
+    cases = [
+        ((2, 3), (2, 3)),
+        ((-2, -3), (2, 3)),
+        ((0, -1), (0, 1)),
+        ((-4, 0), (4, 0)),
+        ((-2, 1), (-2, 1)),
+        ((2, -1), (-2, 1)),
+    ]
+    for (x, y), want in cases:
+        w = quadrant_representative(Vec2(x, y))
+        assert (w.x, w.y) == want
+        assert quadrant_representative(-w) == w
 
 
 def test_rat_gcd_examples():

@@ -10,6 +10,7 @@ from torus_rect_tiler import (
     Orientation,
     QuadrantBasis,
     Rect,
+    SkeletonEdge,
     Tiling,
     Vec2,
     ViolationKind,
@@ -19,6 +20,7 @@ from torus_rect_tiler import (
     build_skeleton,
     build_two_rect,
     canonicalize,
+    contains,
     decompose_axis_paths,
     lattice_point,
     min_length,
@@ -28,8 +30,14 @@ from torus_rect_tiler import (
     tiling_length,
     verify_tiling,
 )
-from torus_rect_tiler.skeleton import InvalidTilingError, Skeleton
-from conftest import random_int_basis, random_split_tiling
+from torus_rect_tiler.skeleton import InvalidTilingError, Skeleton, _axis_frames
+from conftest import (
+    brute_axis_decomposition,
+    random_int_basis,
+    random_rational,
+    random_rational_basis,
+    random_split_tiling,
+)
 
 SKEWED_23 = LatticeBasis(Vec2(3, 5), Vec2(-4, 1))
 SKEWED_14 = LatticeBasis(Vec2(2, 1), Vec2(-4, 5))
@@ -68,6 +76,32 @@ def test_canonicalize_idempotent_and_shift_invariant():
         assert canonicalize(basis, p.rep) == p
         shift = lattice_point(basis, rng.randint(-5, 5), rng.randint(-5, 5))
         assert canonicalize(basis, x + shift) == p
+
+
+# --- torus line frames -------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["integer", "rational"])
+def test_axis_frames_match_axis_periods_and_locate_is_lattice_invariant(kind):
+    rng = random.Random(48 if kind == "integer" else 49)
+    for _ in range(40):
+        basis = random_int_basis(rng) if kind == "integer" else random_rational_basis(rng)
+        per = axis_periods(basis)
+        frames = _axis_frames(basis)
+        h, v = frames[Orientation.H], frames[Orientation.V]
+        assert h.circumference == per.d_x and h.spacing == basis.covolume / per.d_x
+        assert v.circumference == per.d_y and v.spacing == basis.covolume / per.d_y
+        for _ in range(5):
+            p = Vec2(random_rational(rng), random_rational(rng))
+            q = p + lattice_point(basis, rng.randint(-6, 6), rng.randint(-6, 6))
+            key, coord = h.locate(p.x, p.y)
+            assert (key, coord) == h.locate(q.x, q.y)
+            assert 0 <= key < h.spacing and 0 <= coord < h.circumference
+            assert contains(basis, Vec2(coord, key) - p)
+            key, coord = v.locate(p.y, p.x)
+            assert (key, coord) == v.locate(q.y, q.x)
+            assert 0 <= key < v.spacing and 0 <= coord < v.circumference
+            assert contains(basis, Vec2(key, coord) - p)
 
 
 # --- verify_tiling -----------------------------------------------------------
@@ -221,6 +255,39 @@ def test_empty_skeleton_decomposes_to_nothing():
     assert dec == decompose_axis_paths(Skeleton(UNIT, (), ()))
     assert not dec.cycles_h and not dec.paths_h
     assert not dec.cycles_v and not dec.paths_v
+
+
+def test_decompose_rejects_an_edge_spanning_several_arcs():
+    whole = SkeletonEdge(canonicalize(UNIT, Vec2(0, 0)), Orientation.H, Fraction(1))
+    half = SkeletonEdge(
+        canonicalize(UNIT, Vec2(Fraction(1, 2), 0)), Orientation.H, Fraction(1, 2)
+    )
+    with pytest.raises(ValueError):
+        decompose_axis_paths(Skeleton(UNIT, (whole.origin, half.origin), (whole, half)))
+
+
+def test_decomposition_agrees_with_endpoint_chaining_oracle():
+    rng = random.Random(50)
+    cycle_free = with_cycles = 0
+    for trial in range(100):
+        basis = random_int_basis(rng, bound=12)
+        base = build_one_rect(basis, Axis.X) if trial % 2 else build_optimal(basis)
+        sk = build_skeleton(random_split_tiling(rng, base, max_splits=5))
+        dec = decompose_axis_paths(sk)
+        oracle = brute_axis_decomposition(sk)
+        for orientation, cycles, paths in (
+            (Orientation.H, dec.cycles_h, dec.paths_h),
+            (Orientation.V, dec.cycles_v, dec.paths_v),
+        ):
+            want_cycles, want_paths = oracle[orientation]
+            assert len(cycles) == len(want_cycles) and len(paths) == len(want_paths)
+            assert {frozenset(c) for c in cycles} == want_cycles
+            assert set(paths) == want_paths
+        if dec.cycles_h or dec.cycles_v:
+            with_cycles += 1
+        elif len(base.rects) == 2:
+            cycle_free += 1
+    assert cycle_free > 10 and with_cycles > 10
 
 
 def test_every_edge_lands_in_exactly_one_group():
