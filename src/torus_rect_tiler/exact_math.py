@@ -97,16 +97,24 @@ def quadrant_representative(v: Vec2) -> Vec2:
     return -v if flip else v
 
 
+def clear_denominators(*values) -> tuple[int, tuple[int, ...]]:
+    """Least common denominator of rationals, and each one times it.
+
+    Returns (den, ints) with den > 0 the least integer such that every
+    values[i] * den is an integer, and ints[i] = values[i] * den.
+    """
+    den = math.lcm(*(x.denominator for x in values))
+    return den, tuple(x.numerator * (den // x.denominator) for x in values)
+
+
 def rat_gcd(a, b) -> Fraction:
     """Largest positive rational g with a and b both integer multiples of g.
 
-    rat_gcd(a, 0) = |a|.  For a = n1/d1 and b = n2/d2 in lowest terms the
-    result is gcd(n1*d2, n2*d1) / (d1*d2).
+    rat_gcd(a, 0) = |a|.  With a and b cleared to integers m and n over their
+    least common denominator den, the result is gcd(m, n) / den.
     """
     a, b = Fraction(a), Fraction(b)
     if a == 0 and b == 0:
         raise BothZeroError("gcd(0, 0) is undefined")
-    return Fraction(
-        math.gcd(a.numerator * b.denominator, b.numerator * a.denominator),
-        a.denominator * b.denominator,
-    )
+    den, (m, n) = clear_denominators(a, b)
+    return Fraction(math.gcd(m, n), den)

@@ -3,7 +3,9 @@ shortest sign-class vectors, axis periods, and the minimum tiling length.
 
 A lattice is given by an ordered basis pair {u, v} with nonzero determinant.
 All searches are certified exact: enumeration bounds come from the l1 operator
-norm of the inverse basis matrix.
+norm of the inverse basis matrix.  Searches and box queries run on integers:
+the basis (and any bounds) are cleared once by ``clear_denominators``, and
+only results are converted back to fractions.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from .exact_math import Quadrant, Vec2, l1_norm, quadrant_of, rat_gcd
+from .exact_math import clear_denominators
 
 
 class SingularBasisError(ValueError):
@@ -69,23 +72,6 @@ def contains(basis: LatticeBasis, point: Vec2) -> bool:
     return z1.denominator == 1 and z2.denominator == 1
 
 
-def _scaled_ints(basis: LatticeBasis) -> tuple[int, int, int, int, int]:
-    # Clear denominators once so inner search loops run on plain integers.
-    den = math.lcm(
-        basis.u.x.denominator,
-        basis.u.y.denominator,
-        basis.v.x.denominator,
-        basis.v.y.denominator,
-    )
-    return (
-        den,
-        int(basis.u.x * den),
-        int(basis.u.y * den),
-        int(basis.v.x * den),
-        int(basis.v.y * den),
-    )
-
-
 def _inverse_l1_norm(basis: LatticeBasis) -> Fraction:
     # l1 operator norm of the inverse basis matrix: max column sum of
     # [[vy, -vx], [-uy, ux]] / det.
@@ -108,7 +94,9 @@ def enumerate_lattice_points(basis: LatticeBasis, radius) -> list[Vec2]:
     radius = Fraction(radius)
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    den, ux, uy, vx, vy = _scaled_ints(basis)
+    den, (ux, uy, vx, vy) = clear_denominators(
+        basis.u.x, basis.u.y, basis.v.x, basis.v.y
+    )
     zmax = math.floor(_inverse_l1_norm(basis) * radius)
     rn, rd = radius.numerator, radius.denominator
     hits = []
@@ -134,52 +122,44 @@ def lattice_points_in_box(
 ) -> list[Vec2]:
     """Lattice points inside the axis-aligned box, sorted by (x, y).
 
-    With strict=True the box is open.  The z1 range is the integer hull of the
-    box preimage (a parallelogram, so extremes sit at corners); per z1 the
-    feasible z2 form an interval solved directly from the two coordinate
-    constraints.
+    With strict=True the box is open.  The basis and the bounds are cleared to
+    integers over one denominator, where an open bound is the closed one moved
+    in by 1.  The box preimage is a parallelogram, so both coefficient ranges
+    are the integer hulls of the corner preimages; per z1 each coordinate
+    constraint with a nonzero v-coefficient narrows the z2 range.
     """
-    x_lo, x_hi = Fraction(x_lo), Fraction(x_hi)
-    y_lo, y_hi = Fraction(y_lo), Fraction(y_hi)
-    if x_hi < x_lo or y_hi < y_lo or (strict and (x_hi == x_lo or y_hi == y_lo)):
+    den, (ux, uy, vx, vy, x_lo, x_hi, y_lo, y_hi) = clear_denominators(
+        basis.u.x, basis.u.y, basis.v.x, basis.v.y, x_lo, x_hi, y_lo, y_hi
+    )
+    if strict:
+        x_lo, x_hi, y_lo, y_hi = x_lo + 1, x_hi - 1, y_lo + 1, y_hi - 1
+    if x_hi < x_lo or y_hi < y_lo:
         return []
-    det = basis.det
-    ux, uy, vx, vy = basis.u.x, basis.u.y, basis.v.x, basis.v.y
-    corners = ((x_lo, y_lo), (x_lo, y_hi), (x_hi, y_lo), (x_hi, y_hi))
-    z1_vals = [(cx * vy - cy * vx) / det for cx, cy in corners]
-    z1_min, z1_max = math.ceil(min(z1_vals)), math.floor(max(z1_vals))
-
-    def z_interval(base: Fraction, coeff: Fraction, lo: Fraction, hi: Fraction):
-        # Integer z with lo <(=) base + z*coeff <(=) hi; None means empty,
-        # (None, None) means unconstrained.
-        if coeff == 0:
-            inside = lo < base < hi if strict else lo <= base <= hi
-            return (None, None) if inside else None
-        t_lo = (lo - base) / coeff
-        t_hi = (hi - base) / coeff
-        if coeff < 0:
-            t_lo, t_hi = t_hi, t_lo
-        if strict:
-            return (math.floor(t_lo) + 1, math.ceil(t_hi) - 1)
-        return (math.ceil(t_lo), math.floor(t_hi))
-
-    out = []
+    det = ux * vy - uy * vx
+    # Numerators over det of each corner's (z1, z2); // floors for either sign.
+    n1 = [x * vy - y * vx for x in (x_lo, x_hi) for y in (y_lo, y_hi)]
+    n2 = [ux * y - uy * x for x in (x_lo, x_hi) for y in (y_lo, y_hi)]
+    z1_min, z1_max = min(-(-n // det) for n in n1), max(n // det for n in n1)
+    z2_min, z2_max = min(-(-n // det) for n in n2), max(n // det for n in n2)
+    # lo <= z1*u + z2*v <= hi per axis, negated where needed so that v > 0.
+    # With v = 0 the constraint reads z1 = coordinate/u exactly, which the z1
+    # range already enforces, so it is left out.
+    rows = [
+        (u, v, lo, hi) if v > 0 else (-u, -v, -hi, -lo)
+        for u, v, lo, hi in ((ux, vx, x_lo, x_hi), (uy, vy, y_lo, y_hi))
+        if v
+    ]
+    hits = []
     for z1 in range(z1_min, z1_max + 1):
-        bx = z_interval(z1 * ux, vx, x_lo, x_hi)
-        if bx is None:
-            continue
-        by = z_interval(z1 * uy, vy, y_lo, y_hi)
-        if by is None:
-            continue
-        los = [b[0] for b in (bx, by) if b[0] is not None]
-        his = [b[1] for b in (bx, by) if b[1] is not None]
-        if not los or not his:
-            # Both coefficients zero would mean v = 0, impossible here.
-            raise AssertionError("unbounded fiber in box enumeration")
-        for z2 in range(max(los), min(his) + 1):
-            out.append(lattice_point(basis, z1, z2))
-    out.sort(key=lambda p: (p.x, p.y))
-    return out
+        lo, hi = z2_min, z2_max
+        for u, v, c_lo, c_hi in rows:
+            base = z1 * u
+            lo = max(lo, -((base - c_lo) // v))
+            hi = min(hi, (c_hi - base) // v)
+        for z2 in range(lo, hi + 1):
+            hits.append((z1 * ux + z2 * vx, z1 * uy + z2 * vy))
+    hits.sort()
+    return [Vec2(Fraction(a, den), Fraction(b, den)) for a, b in hits]
 
 
 @dataclass(frozen=True)
@@ -236,7 +216,9 @@ def quadrant_basis(basis: LatticeBasis) -> QuadrantBasis:
     inverse-norm bound guarantees.  Ties at equal norm go to the vector with
     the smaller |y| (the flattest one).
     """
-    den, ux, uy, vx, vy = _scaled_ints(basis)
+    den, (ux, uy, vx, vy) = clear_denominators(
+        basis.u.x, basis.u.y, basis.v.x, basis.v.y
+    )
     inv = _inverse_l1_norm(basis)
     best1: Optional[tuple[int, int, int]] = None  # (norm, y, x) scaled
     best2: Optional[tuple[int, int, int]] = None
@@ -267,7 +249,7 @@ def quadrant_basis(basis: LatticeBasis) -> QuadrantBasis:
     u2 = Vec2(Fraction(best2[2], den), Fraction(best2[1], den))
     result = QuadrantBasis(u1, u2)
     if abs(u1.x * u2.y - u1.y * u2.x) != basis.covolume:
-        raise AssertionError(f"quadrant pair is not a lattice basis for {basis}")
+        raise RuntimeError(f"quadrant pair is not a lattice basis for {basis}")
     return result
 
 

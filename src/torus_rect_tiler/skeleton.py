@@ -20,7 +20,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable
 
-from .exact_math import Vec2
+from .exact_math import Vec2, clear_denominators
 from .lattice import (
     LatticeBasis,
     basis_coordinates,
@@ -143,6 +143,16 @@ def verify_tiling(tiling: Tiling) -> VerificationReport:
     return VerificationReport(valid=not violations, violations=tuple(violations))
 
 
+def _violation_text(report: VerificationReport) -> str:
+    return "; ".join(f"{v.kind.value}: {v.detail}" for v in report.violations)
+
+
+def _require_valid(tiling: Tiling) -> None:
+    report = verify_tiling(tiling)
+    if not report.valid:
+        raise InvalidTilingError(_violation_text(report))
+
+
 @dataclass(frozen=True)
 class SkeletonEdge:
     """Atomic axis-aligned segment: starts at a vertex, runs in +x (H) or +y (V)."""
@@ -220,8 +230,8 @@ def _axis_frames(basis: LatticeBasis) -> dict[Orientation, _AxisFrame]:
             across, along = (basis.u.y, basis.v.y), (basis.u.x, basis.v.x)
         else:
             across, along = (basis.u.x, basis.v.x), (basis.u.y, basis.v.y)
-        den = math.lcm(across[0].denominator, across[1].denominator)
-        g, a, b = _egcd(int(across[0] * den), int(across[1] * den))
+        den, (p, q) = clear_denominators(*across)
+        g, a, b = _egcd(p, q)
         spacing = Fraction(g, den)
         circumference = basis.covolume / spacing
         shear = _fmod(a * along[0] + b * along[1], circumference)
@@ -338,11 +348,7 @@ def build_skeleton(tiling: Tiling) -> Skeleton:
     coinciding pieces from adjacent rectangles merge into one atomic edge.
     The total edge length equals the tiling length.
     """
-    report = verify_tiling(tiling)
-    if not report.valid:
-        raise InvalidTilingError(
-            "; ".join(f"{v.kind.value}: {v.detail}" for v in report.violations)
-        )
+    _require_valid(tiling)
     basis = tiling.basis
     lines, _ = _place(basis, _sides(tiling.rects))
     # Every cut is a corner image, and every corner lies on one H line.
@@ -452,7 +458,11 @@ class ReductionStep:
 
 
 def reduce_tiling(tiling: Tiling) -> Tiling:
-    """Shrink a cycle-free tiling until each axis has one maximal path."""
+    """Shrink a cycle-free tiling until each axis has one maximal path.
+
+    Raises CycleExistsError when the input has an axis cycle, and also when a
+    reduction step creates one.
+    """
     reduced, _ = reduce_tiling_with_trace(tiling)
     return reduced
 
@@ -467,13 +477,12 @@ def reduce_tiling_with_trace(
     the rectangles that collapse, and re-verifies the result.  The output is a
     valid tiling with exactly one maximal path per axis and length at most the
     input's.
-    """
-    report = verify_tiling(tiling)
-    if not report.valid:
-        raise InvalidTilingError(
-            "; ".join(f"{v.kind.value}: {v.detail}" for v in report.violations)
-        )
 
+    Raises CycleExistsError when the input has an axis cycle, and also when a
+    step creates one (the message then names the step), since the shift
+    applies only to maximal paths.
+    """
+    _require_valid(tiling)
     current = tiling
     steps: list[ReductionStep] = []
     for _ in range(len(tiling.rects) + 2):
@@ -486,9 +495,10 @@ def reduce_tiling_with_trace(
             orientation, key = line_id
             line = lines[line_id]
             if all(line.covered):
+                after = f" after step {len(steps)}" if steps else ""
                 raise CycleExistsError(
-                    f"{orientation.value}-cycle on line {key}: the path-merging "
-                    "reduction does not apply"
+                    f"{orientation.value}-cycle on line {key}{after}: the "
+                    "path-merging reduction does not apply"
                 )
             for run in line.runs():
                 runs_by_axis[orientation].append((line_id, line.cuts[run[0]], set(run)))
@@ -558,8 +568,7 @@ def reduce_tiling_with_trace(
         check = verify_tiling(new_tiling)
         if not check.valid:
             raise ReductionStepInvalidError(
-                "rebuilt tiling is invalid: "
-                + "; ".join(f"{v.kind.value}: {v.detail}" for v in check.violations)
+                "rebuilt tiling is invalid: " + _violation_text(check)
             )
         length_before = tiling_length(current)
         length_after = tiling_length(new_tiling)

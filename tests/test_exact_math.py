@@ -14,7 +14,7 @@ from torus_rect_tiler import (
     quadrant_of,
     rat_gcd,
 )
-from torus_rect_tiler.exact_math import quadrant_representative
+from torus_rect_tiler.exact_math import clear_denominators, quadrant_representative
 from conftest import random_rational
 
 
@@ -70,6 +70,23 @@ def test_quadrant_representative_picks_the_canonical_sign():
         w = quadrant_representative(Vec2(x, y))
         assert (w.x, w.y) == want
         assert quadrant_representative(-w) == w
+
+
+def test_clear_denominators_gives_least_common_denominator():
+    assert clear_denominators(Fraction(1, 2), Fraction(-2, 3), 0) == (6, (3, -4, 0))
+    assert clear_denominators(Fraction(0), Fraction(-5)) == (1, (0, -5))
+    rng = random.Random(7)
+    for _ in range(300):
+        values = [random_rational(rng, bound=40, max_den=30) for _ in range(rng.randint(1, 8))]
+        den, ints = clear_denominators(*values)
+        assert den > 0
+        assert len(ints) == len(values)
+        for x, n in zip(values, ints):
+            assert type(n) is int
+            assert n == x * den
+        # minimal: a common factor k > 1 of den and every ints[i] would
+        # let den / k clear every value too
+        assert math.gcd(den, *ints) == 1
 
 
 def test_rat_gcd_examples():

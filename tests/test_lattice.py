@@ -99,6 +99,20 @@ def test_lattice_points_in_box_matches_ball_filter():
         assert box == ball
         strict = {(p.x, p.y) for p in lattice_points_in_box(basis, -r, r, -r, r, strict=True)}
         assert strict == {(x, y) for x, y in ball if -r < x < r and -r < y < r}
+    # rational bases, asymmetric boxes with denominators the basis lacks
+    for _ in range(60):
+        basis = random_rational_basis(rng, bound=8, max_den=4)
+        x_lo, x_hi = sorted(Fraction(rng.randint(-40, 40), rng.choice((5, 7))) for _ in range(2))
+        y_lo, y_hi = sorted(Fraction(rng.randint(-40, 40), rng.choice((5, 7))) for _ in range(2))
+        reach = max(abs(x_lo), abs(x_hi)) + max(abs(y_lo), abs(y_hi))
+        ball = [(p.x, p.y) for p in enumerate_lattice_points(basis, reach)]
+        for strict in (False, True):
+            box = [(p.x, p.y) for p in lattice_points_in_box(basis, x_lo, x_hi, y_lo, y_hi, strict)]
+            if strict:
+                want = [(x, y) for x, y in ball if x_lo < x < x_hi and y_lo < y < y_hi]
+            else:
+                want = [(x, y) for x, y in ball if x_lo <= x <= x_hi and y_lo <= y <= y_hi]
+            assert box == sorted(want)
 
 
 def test_quadrant_basis_examples():

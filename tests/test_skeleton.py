@@ -27,6 +27,7 @@ from torus_rect_tiler import (
     quadrant_basis,
     reduce_tiling,
     reduce_tiling_with_trace,
+    tiling_from_json_dict,
     tiling_length,
     verify_tiling,
 )
@@ -370,6 +371,27 @@ def test_reduce_rejects_axis_cycles():
         reduce_tiling(build_one_rect(SKEWED_23, Axis.X))
     with pytest.raises(CycleExistsError):
         reduce_tiling(Tiling(UNIT, (Rect(0, 1, 0, 1),)))
+
+
+def test_reduce_names_the_step_that_creates_an_axis_cycle():
+    # Cycle-free (3 H paths, 2 V paths), but the first merge closes an H line.
+    t = tiling_from_json_dict(
+        {
+            "basis": [["-13", "-2"], ["3", "1"]],
+            "rects": [
+                ["-1", "7/5", "0", "24/25"],
+                ["-1", "7/5", "24/25", "6/5"],
+                ["7/5", "2", "0", "6/5"],
+                ["-1", "2", "6/5", "2"],
+                ["2", "3", "0", "1/5"],
+                ["2", "3", "1/5", "1"],
+            ],
+        }
+    )
+    d = decompose_axis_paths(build_skeleton(t))
+    assert d.cycles_h == () and d.cycles_v == ()
+    with pytest.raises(CycleExistsError, match="after step 1"):
+        reduce_tiling_with_trace(t)
 
 
 def test_reduce_rejects_invalid_tiling():
