@@ -83,6 +83,10 @@ def _load_tiling(path: str, basis_text) -> Tiling:
         raise CliError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise CliError(f"malformed JSON in {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path} is not UTF-8 text: {exc}") from None
+    except RecursionError:
+        raise CliError(f"JSON in {path} is nested too deeply") from None
     try:
         tiling = tiling_from_json_dict(doc)
     except ValueError as exc:

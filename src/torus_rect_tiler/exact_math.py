@@ -23,8 +23,10 @@ def parse_rational(text: str) -> Fraction:
     """Parse "n" or "n/d" with an optional sign.
 
     Rejects anything outside that grammar (floats, exponents, empty or zero
-    denominators) with ValueError.
+    denominators) and any argument that is not a ``str`` with ValueError.
     """
+    if not isinstance(text, str):
+        raise ValueError(f"not a rational literal: {text!r}")
     s = text.strip()
     if not _RATIONAL_RE.match(s):
         raise ValueError(f"not a rational literal: {text!r}")

@@ -5,7 +5,9 @@ A lattice is given by an ordered basis pair {u, v} with nonzero determinant.
 All searches are certified exact: enumeration bounds come from the l1 operator
 norm of the inverse basis matrix.  Searches and box queries run on integers:
 the basis (and any bounds) are cleared once by ``clear_denominators``, and
-only results are converted back to fractions.
+only results are converted back to fractions.  ``box_points`` scans a box of
+an already cleared lattice, for callers that clear many boxes at once;
+``axis_form`` is the integer Hermite form of a cleared lattice along an axis.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .exact_math import Quadrant, Vec2, l1_norm, quadrant_of, rat_gcd
+from .exact_math import Quadrant, Vec2, l1_norm, quadrant_of
 from .exact_math import clear_denominators
 
 
@@ -34,6 +36,11 @@ class LatticeBasis:
     def __post_init__(self):
         if self.det == 0:
             raise SingularBasisError(f"singular basis: u={self.u}, v={self.v}")
+
+    @property
+    def entries(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+        """(u.x, u.y, v.x, v.y), the order ``clear_denominators`` takes them in."""
+        return self.u.x, self.u.y, self.v.x, self.v.y
 
     @property
     def det(self) -> Fraction:
@@ -94,9 +101,7 @@ def enumerate_lattice_points(basis: LatticeBasis, radius) -> list[Vec2]:
     radius = Fraction(radius)
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    den, (ux, uy, vx, vy) = clear_denominators(
-        basis.u.x, basis.u.y, basis.v.x, basis.v.y
-    )
+    den, (ux, uy, vx, vy) = clear_denominators(*basis.entries)
     zmax = math.floor(_inverse_l1_norm(basis) * radius)
     rn, rd = radius.numerator, radius.denominator
     hits = []
@@ -112,29 +117,19 @@ def enumerate_lattice_points(basis: LatticeBasis, radius) -> list[Vec2]:
     return [Vec2(Fraction(a, den), Fraction(b, den)) for _, a, b in hits]
 
 
-def lattice_points_in_box(
-    basis: LatticeBasis,
-    x_lo,
-    x_hi,
-    y_lo,
-    y_hi,
-    strict: bool = False,
-) -> list[Vec2]:
-    """Lattice points inside the axis-aligned box, sorted by (x, y).
+def box_points(
+    cleared: tuple[int, int, int, int], x_lo: int, x_hi: int, y_lo: int, y_hi: int
+) -> list[tuple[int, int]]:
+    """Points of the integer lattice spanned by cleared = (ux, uy, vx, vy)
+    inside the closed box, as (x, y) pairs sorted by (x, y).
 
-    With strict=True the box is open.  The basis and the bounds are cleared to
-    integers over one denominator, where an open bound is the closed one moved
-    in by 1.  The box preimage is a parallelogram, so both coefficient ranges
-    are the integer hulls of the corner preimages; per z1 each coordinate
-    constraint with a nonzero v-coefficient narrows the z2 range.
+    The box preimage is a parallelogram, so both coefficient ranges are the
+    integer hulls of the corner preimages; per z1 each coordinate constraint
+    with a nonzero v-coefficient narrows the z2 range.
     """
-    den, (ux, uy, vx, vy, x_lo, x_hi, y_lo, y_hi) = clear_denominators(
-        basis.u.x, basis.u.y, basis.v.x, basis.v.y, x_lo, x_hi, y_lo, y_hi
-    )
-    if strict:
-        x_lo, x_hi, y_lo, y_hi = x_lo + 1, x_hi - 1, y_lo + 1, y_hi - 1
     if x_hi < x_lo or y_hi < y_lo:
         return []
+    ux, uy, vx, vy = cleared
     det = ux * vy - uy * vx
     # Numerators over det of each corner's (z1, z2); // floors for either sign.
     n1 = [x * vy - y * vx for x in (x_lo, x_hi) for y in (y_lo, y_hi)]
@@ -159,7 +154,27 @@ def lattice_points_in_box(
         for z2 in range(lo, hi + 1):
             hits.append((z1 * ux + z2 * vx, z1 * uy + z2 * vy))
     hits.sort()
-    return [Vec2(Fraction(a, den), Fraction(b, den)) for a, b in hits]
+    return hits
+
+
+def lattice_points_in_box(
+    basis: LatticeBasis, x_lo, x_hi, y_lo, y_hi, strict: bool = False
+) -> list[Vec2]:
+    """Lattice points inside the axis-aligned box, sorted by (x, y).
+
+    With strict=True the box is open.  The basis and the bounds are cleared to
+    integers over one denominator, where an open bound is the closed one moved
+    in by 1, and ``box_points`` scans the cleared lattice.
+    """
+    den, (ux, uy, vx, vy, x_lo, x_hi, y_lo, y_hi) = clear_denominators(
+        *basis.entries, x_lo, x_hi, y_lo, y_hi
+    )
+    if strict:
+        x_lo, x_hi, y_lo, y_hi = x_lo + 1, x_hi - 1, y_lo + 1, y_hi - 1
+    return [
+        Vec2(Fraction(a, den), Fraction(b, den))
+        for a, b in box_points((ux, uy, vx, vy), x_lo, x_hi, y_lo, y_hi)
+    ]
 
 
 @dataclass(frozen=True)
@@ -216,9 +231,7 @@ def quadrant_basis(basis: LatticeBasis) -> QuadrantBasis:
     inverse-norm bound guarantees.  Ties at equal norm go to the vector with
     the smaller |y| (the flattest one).
     """
-    den, (ux, uy, vx, vy) = clear_denominators(
-        basis.u.x, basis.u.y, basis.v.x, basis.v.y
-    )
+    den, (ux, uy, vx, vy) = clear_denominators(*basis.entries)
     inv = _inverse_l1_norm(basis)
     best1: Optional[tuple[int, int, int]] = None  # (norm, y, x) scaled
     best2: Optional[tuple[int, int, int]] = None
@@ -253,6 +266,27 @@ def quadrant_basis(basis: LatticeBasis) -> QuadrantBasis:
     return result
 
 
+def axis_form(
+    along_u: int, along_v: int, across_u: int, across_v: int
+) -> tuple[int, int, int]:
+    """Hermite form (spacing, period, shear) of the integer lattice spanned by
+    u and v, given by their coordinates along one axis and across it.
+
+    In (along, across) coordinates the lattice is
+    {a*(period, 0) + b*(shear, spacing)}: spacing is the least positive across
+    coordinate of a lattice point, period = |det|/spacing, 0 <= shear < period.
+    Euclid's algorithm on the across coordinates, applied to whole basis
+    vectors, keeps a basis and ends with one vector on the axis.
+    """
+    (a1, c1), (a2, c2) = (along_u, across_u), (along_v, across_v)
+    while c2:
+        q = c1 // c2
+        (a1, c1), (a2, c2) = (a2, c2), (a1 - q * a2, c1 - q * c2)
+    if c1 < 0:
+        a1, c1 = -a1, -c1
+    return c1, abs(a2), a1 % abs(a2)
+
+
 @dataclass(frozen=True)
 class AxisPeriods:
     """Least positive axis-aligned lattice steps and one-rectangle lengths.
@@ -268,18 +302,16 @@ class AxisPeriods:
 
 
 def axis_periods(basis: LatticeBasis) -> AxisPeriods:
-    """Compute d_x, d_y, m_x, m_y from coordinate gcds.
+    """Compute d_x, d_y, m_x, m_y from the Hermite form of each axis.
 
-    The y-coordinates of lattice points form g_y*Z with g_y = rat_gcd(u.y, v.y),
-    and the kernel of that projection is d_x*Z x {0}, so d_x = cov/g_y; the
-    x-axis case is symmetric.
+    The y-coordinates of lattice points form g_y*Z, and the kernel of that
+    projection is d_x*Z x {0}, so d_x = cov/g_y; the x-axis case is symmetric.
     """
-    cov = basis.covolume
-    g_y = rat_gcd(basis.u.y, basis.v.y)
-    g_x = rat_gcd(basis.u.x, basis.v.x)
-    d_x = cov / g_y
-    d_y = cov / g_x
-    return AxisPeriods(d_x=d_x, d_y=d_y, m_x=d_x + g_y, m_y=d_y + g_x)
+    den, (ux, uy, vx, vy) = clear_denominators(*basis.entries)
+    g_y, d_x, _ = axis_form(ux, vx, uy, vy)
+    g_x, d_y, _ = axis_form(uy, vy, ux, vx)
+    d_x, d_y, m_x, m_y = (Fraction(n, den) for n in (d_x, d_y, d_x + g_y, d_y + g_x))
+    return AxisPeriods(d_x=d_x, d_y=d_y, m_x=m_x, m_y=m_y)
 
 
 class Winner(Enum):

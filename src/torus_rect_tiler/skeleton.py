@@ -4,12 +4,17 @@ skeleton graphs, axis path decomposition, and the path-merging reduction.
 Points on the torus are identified by a canonical representative inside the
 fundamental parallelogram.  Horizontal torus lines form a circle family with
 spacing g_y = cov/d_x and circumference d_x (vertical lines symmetrically).
-Each family is read off one Hermite form of the lattice,
-{a*(d_x, 0) + b*(shear, g_y)}, computed once per basis, so locating a point on
-its line is two exact remainders.  One placement routine maps axis segments
-(rectangle sides or skeleton edges) onto lines cut at the segment endpoints;
-the skeleton's edges, its cycle/path decomposition and the reduction's choice
-of path are all read off those lines' covered arcs and runs.
+
+Verification and line placement clear a tiling (or skeleton) and its basis
+to integers over one denominator once per call, and convert back to fractions
+only the values they emit.  Verification scans each open difference box with
+``lattice.box_points``.  Each line family is read off the integer Hermite form
+{a*(d_x, 0) + b*(shear, g_y)} of the cleared lattice (``lattice.axis_form``),
+so locating a point on its line is one divmod and one remainder.  One
+placement routine maps axis segments (rectangle sides or skeleton edges) onto
+lines cut at the segment endpoints; the skeleton's edges, its cycle/path
+decomposition and the reduction's choice of path are all read off those
+lines' covered arcs and runs.
 """
 
 from __future__ import annotations
@@ -23,9 +28,10 @@ from typing import Iterable
 from .exact_math import Vec2, clear_denominators
 from .lattice import (
     LatticeBasis,
+    axis_form,
     basis_coordinates,
+    box_points,
     lattice_point,
-    lattice_points_in_box,
 )
 from .tiling import Rect, Tiling, tiling_length
 
@@ -96,43 +102,42 @@ def verify_tiling(tiling: Tiling) -> VerificationReport:
     lattice point sits in the open box (-w, w) x (-h, h); two interiors meet
     on the torus iff a lattice point sits in their open difference box; and
     given those, coverage is equivalent to the areas summing to the covolume.
+    The basis and all rectangles are cleared to integers once; each open box
+    is a ``box_points`` scan with its bounds moved in by 1.  The box of a
+    rectangle with itself is its injectivity box, which always holds 0.
     """
     basis = tiling.basis
-    violations: list[Violation] = []
-    rects = tiling.rects
-    for i, r in enumerate(rects):
-        for lam in lattice_points_in_box(
-            basis, -r.width, r.width, -r.height, r.height, strict=True
-        ):
-            if not lam.is_zero():
-                violations.append(
-                    Violation(
-                        ViolationKind.INJECTIVITY,
-                        f"rect {i}: lattice point {lam} is shorter than the "
-                        f"rectangle in both axes",
-                    )
-                )
-                break
-    for i in range(len(rects)):
-        for j in range(i + 1, len(rects)):
-            ri, rj = rects[i], rects[j]
-            hits = lattice_points_in_box(
-                basis,
-                rj.x0 - ri.x1,
-                rj.x1 - ri.x0,
-                rj.y0 - ri.y1,
-                rj.y1 - ri.y0,
-                strict=True,
+    den, ints = clear_denominators(
+        *basis.entries, *(c for r in tiling.rects for c in (r.x0, r.x1, r.y0, r.y1))
+    )
+    cleared = ints[:4]
+    boxes = [ints[k : k + 4] for k in range(4, len(ints), 4)]
+    injectivity: list[Violation] = []
+    overlap: list[Violation] = []
+    for i, (ix0, ix1, iy0, iy1) in enumerate(boxes):
+        for j in range(i, len(boxes)):
+            jx0, jx1, jy0, jy1 = boxes[j]
+            hits = box_points(
+                cleared, jx0 - ix1 + 1, jx1 - ix0 - 1, jy0 - iy1 + 1, jy1 - iy0 - 1
             )
-            if hits:
-                violations.append(
-                    Violation(
-                        ViolationKind.OVERLAP,
-                        f"rects {i} and {j}: interiors meet under lattice "
-                        f"shift {hits[0]}",
-                    )
+            if i == j:
+                hits.remove((0, 0))
+            if not hits:
+                continue
+            lam = Vec2(Fraction(hits[0][0], den), Fraction(hits[0][1], den))
+            if i == j:
+                text = (
+                    f"rect {i}: lattice point {lam} is shorter than the "
+                    "rectangle in both axes"
                 )
-    total_area = sum((r.area for r in rects), Fraction(0))
+                injectivity.append(Violation(ViolationKind.INJECTIVITY, text))
+            else:
+                text = f"rects {i} and {j}: interiors meet under lattice shift {lam}"
+                overlap.append(Violation(ViolationKind.OVERLAP, text))
+    violations = injectivity + overlap
+    total_area = Fraction(
+        sum((x1 - x0) * (y1 - y0) for x0, x1, y0, y1 in boxes), den * den
+    )
     if total_area != basis.covolume:
         violations.append(
             Violation(
@@ -177,68 +182,6 @@ class Skeleton:
 # Torus lines shared by skeleton construction, decomposition and reduction
 
 
-def _fmod(a: Fraction, m: Fraction) -> Fraction:
-    return a - m * math.floor(a / m)
-
-
-def _egcd(a: int, b: int) -> tuple[int, int, int]:
-    # (g, x, y) with a*x + b*y = g and g = gcd(a, b) >= 0.
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
-@dataclass(frozen=True)
-class _AxisFrame:
-    """Hermite form of the lattice for one family of parallel torus lines.
-
-    For H lines the lattice is {a*(circumference, 0) + b*(shear, spacing)}:
-    spacing is the least positive y of a lattice point and circumference
-    d_x = cov/spacing the least positive x of one on the x-axis.  V lines swap
-    the axes.
-    """
-
-    circumference: Fraction
-    spacing: Fraction
-    shear: Fraction  # along-coordinate of a lattice vector one spacing across
-
-    def locate(self, along: Fraction, offset: Fraction) -> tuple[Fraction, Fraction]:
-        """Map a planar position to (line key, circle coordinate).
-
-        ``offset`` is the coordinate across the family (y for H), ``along``
-        the one measured around the circle (x for H).  The point
-        (coord, key) for H, (key, coord) for V, differs from the input by a
-        lattice vector.
-        """
-        steps = math.floor(offset / self.spacing)
-        key = offset - steps * self.spacing
-        return key, _fmod(along - steps * self.shear, self.circumference)
-
-
-def _axis_frames(basis: LatticeBasis) -> dict[Orientation, _AxisFrame]:
-    frames = {}
-    for orientation in Orientation:
-        if orientation is Orientation.H:
-            across, along = (basis.u.y, basis.v.y), (basis.u.x, basis.v.x)
-        else:
-            across, along = (basis.u.x, basis.v.x), (basis.u.y, basis.v.y)
-        den, (p, q) = clear_denominators(*across)
-        g, a, b = _egcd(p, q)
-        spacing = Fraction(g, den)
-        circumference = basis.covolume / spacing
-        shear = _fmod(a * along[0] + b * along[1], circumference)
-        frames[orientation] = _AxisFrame(circumference, spacing, shear)
-    return frames
-
-
 @dataclass
 class _Line:
     """One torus line: sorted cut positions and which arcs between them are covered.
@@ -246,14 +189,14 @@ class _Line:
     Arc i runs from cuts[i] to the next cut around the circle.
     """
 
-    circumference: Fraction
-    cuts: list[Fraction]
+    circumference: int
+    cuts: list[int]
     covered: list[bool] = field(init=False)
 
     def __post_init__(self):
         self.covered = [False] * len(self.cuts)
 
-    def arc_length(self, i: int) -> Fraction:
+    def arc_length(self, i: int) -> int:
         m = len(self.cuts)
         if m == 1:
             return self.circumference
@@ -283,31 +226,46 @@ class _Line:
         return runs
 
 
-_LineId = tuple[Orientation, Fraction]
+_LineId = tuple[Orientation, int]
 
 
 def _place(
     basis: LatticeBasis,
     segments: Iterable[tuple[Orientation, Fraction, Fraction, Fraction]],
-) -> tuple[dict[_LineId, _Line], list[tuple[_LineId, tuple[int, ...]]]]:
+) -> tuple[int, dict[_LineId, _Line], list[tuple[_LineId, tuple[int, ...]]]]:
     """Map axis segments (orientation, along, offset, length) onto torus lines.
 
-    Each line is cut at the endpoints of the segments on it; the result holds
-    the lines by (orientation, key) and, per segment in input order, its line
-    and the arcs it covers.
+    The basis and all segment values are cleared to integers over one
+    denominator den.  Each line is cut at the endpoints of the segments on it;
+    the result holds den, the lines by (orientation, key) and, per segment in
+    input order, its line and the arcs it covers.  Keys (offsets modulo the
+    line spacing), cuts and arc lengths are integers over den.
     """
-    frames = _axis_frames(basis)
-    cut_sets: dict[_LineId, set[Fraction]] = {}
+    segments = list(segments)
+    den, ints = clear_denominators(
+        *basis.entries, *(value for segment in segments for value in segment[1:])
+    )
+    ux, uy, vx, vy = ints[:4]
+    forms = {
+        Orientation.H: axis_form(ux, vx, uy, vy),
+        Orientation.V: axis_form(uy, vy, ux, vx),
+    }
+    cut_sets: dict[_LineId, set[int]] = {}
     located = []
-    for orientation, along, offset, length in segments:
-        frame = frames[orientation]
-        key, start = frame.locate(along, offset)
-        end = _fmod(start + length, frame.circumference)
-        cut_sets.setdefault((orientation, key), set()).update((start, end))
+    for k, (orientation, *_) in enumerate(segments):
+        along, offset, length = ints[4 + 3 * k : 7 + 3 * k]
+        spacing, period, shear = forms[orientation]
+        # The lattice vector steps*(shear, spacing) moves the segment onto
+        # the line of key in [0, spacing).
+        steps, key = divmod(offset, spacing)
+        start = (along - steps * shear) % period
+        cut_sets.setdefault((orientation, key), set()).update(
+            (start, (start + length) % period)
+        )
         located.append(((orientation, key), start, length))
 
     lines = {
-        line_id: _Line(frames[line_id[0]].circumference, sorted(cuts))
+        line_id: _Line(forms[line_id[0]][1], sorted(cuts))
         for line_id, cuts in cut_sets.items()
     }
     cut_index = {
@@ -325,7 +283,7 @@ def _place(
             remaining -= line.arc_length(i)
             i = (i + 1) % len(line.cuts)
         placed.append((line_id, tuple(arcs)))
-    return lines, placed
+    return den, lines, placed
 
 
 def _sides(rects: Iterable[Rect]):
@@ -350,19 +308,19 @@ def build_skeleton(tiling: Tiling) -> Skeleton:
     """
     _require_valid(tiling)
     basis = tiling.basis
-    lines, _ = _place(basis, _sides(tiling.rects))
+    den, lines, _ = _place(basis, _sides(tiling.rects))
     # Every cut is a corner image, and every corner lies on one H line.
     vertices = set()
     edges = []
     for (orientation, key), line in lines.items():
         for i, cut in enumerate(line.cuts):
+            x, y = (cut, key) if orientation is Orientation.H else (key, cut)
+            w = canonicalize(basis, Vec2(Fraction(x, den), Fraction(y, den)))
             if orientation is Orientation.H:
-                w = canonicalize(basis, Vec2(cut, key))
                 vertices.add(w)
-            else:
-                w = canonicalize(basis, Vec2(key, cut))
             if line.covered[i]:
-                edges.append(SkeletonEdge(w, orientation, line.arc_length(i)))
+                length = Fraction(line.arc_length(i), den)
+                edges.append(SkeletonEdge(w, orientation, length))
     edges.sort(
         key=lambda e: (e.orientation.value, e.origin.rep.x, e.origin.rep.y, e.length)
     )
@@ -388,7 +346,7 @@ def decompose_axis_paths(skeleton: Skeleton) -> AxisPathDecomposition:
     one maximal path.  Raises ValueError when an edge is not exactly one arc
     of its line, or two edges cover the same arc (a hand-built skeleton).
     """
-    lines, placed = _place(
+    _, lines, placed = _place(
         skeleton.basis,
         (
             (e.orientation, e.origin.rep.x, e.origin.rep.y, e.length)
@@ -486,7 +444,7 @@ def reduce_tiling_with_trace(
     current = tiling
     steps: list[ReductionStep] = []
     for _ in range(len(tiling.rects) + 2):
-        lines, placed = _place(current.basis, _sides(current.rects))
+        den, lines, placed = _place(current.basis, _sides(current.rects))
         runs_by_axis: dict[Orientation, list] = {
             Orientation.H: [],
             Orientation.V: [],
@@ -497,8 +455,8 @@ def reduce_tiling_with_trace(
             if all(line.covered):
                 after = f" after step {len(steps)}" if steps else ""
                 raise CycleExistsError(
-                    f"{orientation.value}-cycle on line {key}{after}: the "
-                    "path-merging reduction does not apply"
+                    f"{orientation.value}-cycle on line {Fraction(key, den)}"
+                    f"{after}: the path-merging reduction does not apply"
                 )
             for run in line.runs():
                 runs_by_axis[orientation].append((line_id, line.cuts[run[0]], set(run)))
@@ -577,8 +535,8 @@ def reduce_tiling_with_trace(
         steps.append(
             ReductionStep(
                 axis=orientation,
-                line_key=target_line[1],
-                path_start=target_start,
+                line_key=Fraction(target_line[1], den),
+                path_start=Fraction(target_start, den),
                 mirrored=mirrored,
                 s1=tuple(s1),
                 s2=tuple(s2),

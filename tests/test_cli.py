@@ -1,8 +1,14 @@
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from torus_rect_tiler.cli import main
+from torus_rect_tiler.exact_math import Vec2
+from torus_rect_tiler.lattice import LatticeBasis
+from torus_rect_tiler.tiling import build_optimal, tiling_to_json_dict
 
 SKEWED_23 = "3 5 -4 1"
 SKEWED_14 = "2 1 -4 5"
@@ -148,6 +154,27 @@ def test_verify_malformed_file(capsys, tmp_path):
     assert code == 1
 
 
+def test_verify_rejects_a_number_in_place_of_a_rational_string(capsys, tmp_path):
+    path = tmp_path / "numbers.json"
+    path.write_text(json.dumps({"basis": [["1", "0"], ["0", "1"]], "rects": [[0, 1, 0, 1]]}))
+    code, out, err = run(capsys, "verify", "-t", str(path))
+    assert code == 1 and "not a rational literal" in err and out == ""
+
+
+def test_verify_rejects_a_file_that_is_not_utf8(capsys, tmp_path):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, "verify", "-t", str(path))
+    assert code == 1 and "UTF-8" in err and out == ""
+
+
+def test_verify_rejects_deeply_nested_json(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    code, out, err = run(capsys, "verify", "-t", str(path))
+    assert code == 1 and "nested too deeply" in err and out == ""
+
+
 def test_verify_basis_mismatch(capsys, tmp_path):
     path = write_tiling(tmp_path, capsys, SKEWED_23)
     code, out, err = run(capsys, "verify", "-b", UNIT, "-t", str(path))
@@ -223,6 +250,17 @@ def test_reduce_one_rect_has_cycles(capsys, tmp_path):
     assert "cycle" in err.lower()
 
 
+def test_reduce_invalid_tiling_exits_two(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(
+        json.dumps(
+            {"basis": [["1", "0"], ["0", "1"]], "rects": [["0", "2", "0", "1"]]}
+        )
+    )
+    code, out, err = run(capsys, "reduce", "-t", str(path))
+    assert code == 2 and err.startswith("invalid tiling: ") and out == ""
+
+
 # --- render -------------------------------------------------------------------
 
 
@@ -269,6 +307,16 @@ def test_render_unwritable_path(capsys, tmp_path):
     assert code == 1 and "error" in err
 
 
+def test_render_rejects_nonpositive_width(capsys, tmp_path):
+    tiling_path = write_tiling(tmp_path, capsys, UNIT)
+    out_path = tmp_path / "zero.svg"
+    code, out, err = run(
+        capsys, "render", "-t", str(tiling_path), "-o", str(out_path), "--width", "0"
+    )
+    assert code == 1 and "--width must be positive" in err
+    assert not out_path.exists()
+
+
 # --- oracle -------------------------------------------------------------------
 
 
@@ -296,6 +344,11 @@ def test_oracle_skewed_14(capsys):
 def test_oracle_rejects_negative_radius(capsys):
     code, out, err = run(capsys, "oracle", "-b", UNIT, "--radius", "-1")
     assert code == 1
+
+
+def test_oracle_rejects_a_radius_that_is_not_rational(capsys):
+    code, out, err = run(capsys, "oracle", "-b", UNIT, "--radius", "abc")
+    assert code == 1 and "not a rational literal" in err and out == ""
 
 
 # --- general ------------------------------------------------------------------
@@ -335,3 +388,100 @@ def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["minlen"])  # missing -b
     assert exc.value.code == 1
+
+
+# --- fuzz ---------------------------------------------------------------------
+
+# Deterministic, no example database, and a deadline per example, so the fuzz
+# tests take the same few seconds and write nothing outside pytest's tmp dirs.
+FUZZ = settings(
+    database=None,
+    derandomize=True,
+    deadline=5000,
+    max_examples=100,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+small_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+rational_texts = small_rationals.map(str)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-6, 6) | st.text(max_size=5) | rational_texts,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["basis", "rects", "x"]), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@st.composite
+def near_valid_tilings(draw):
+    """A built tiling, cut into pieces and then perhaps broken in one place.
+
+    A singular basis gives a document with no rectangles.
+    """
+    u = Vec2(draw(small_rationals), draw(small_rationals))
+    v = Vec2(draw(small_rationals), draw(small_rationals))
+    if u.x * v.y == u.y * v.x:
+        return {"basis": [[str(u.x), str(u.y)], [str(v.x), str(v.y)]], "rects": []}
+    doc = tiling_to_json_dict(build_optimal(LatticeBasis(u, v)))
+    rows = doc["rects"]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(rows) - 1))
+        x0, x1, y0, y1 = (Fraction(t) for t in rows[i])
+        if draw(st.booleans()):
+            mid = (x0 + x1) / 2
+            pieces = [[x0, mid, y0, y1], [mid, x1, y0, y1]]
+        else:
+            mid = (y0 + y1) / 2
+            pieces = [[x0, x1, y0, mid], [x0, x1, mid, y1]]
+        rows[i : i + 1] = [[str(t) for t in row] for row in pieces]
+    fault = draw(st.sampled_from([None, None, None, "value", "duplicate", "drop", "key"]))
+    if fault == "value":
+        row = draw(st.integers(0, len(rows) - 1))
+        rows[row][draw(st.integers(0, 3))] = draw(json_values)
+    elif fault == "duplicate":
+        rows.append(list(rows[draw(st.integers(0, len(rows) - 1))]))
+    elif fault == "drop":
+        del rows[draw(st.integers(0, len(rows) - 1))]
+    elif fault == "key":
+        del doc[draw(st.sampled_from(["basis", "rects"]))]
+    return doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "tiling.json"
+
+
+@FUZZ
+@given(
+    doc=json_values | near_valid_tilings(),
+    command=st.sampled_from(["verify", "skeleton", "reduce"]),
+)
+def test_cli_tiling_commands_never_raise(fuzz_file, doc, command):
+    fuzz_file.write_text(json.dumps(doc))
+    assert main([command, "-t", str(fuzz_file)]) in (0, 1, 2)
+
+
+basis_texts = st.lists(rational_texts, min_size=3, max_size=5).map(" ".join) | st.text(
+    max_size=12
+)
+
+
+@FUZZ
+@given(
+    basis=basis_texts,
+    argv=st.sampled_from(
+        [
+            ["minlen"],
+            ["build"],
+            ["build", "--force", "one-rect-x"],
+            ["build", "--force", "one-rect-y"],
+            ["build", "--force", "two-rect"],
+            ["oracle", "--radius", "2"],
+            ["oracle", "--radius", "1/3"],
+        ]
+    ),
+)
+def test_cli_basis_commands_never_raise(basis, argv):
+    # --basis=TEXT keeps a TEXT that starts with "-" from reading as an option.
+    assert main([argv[0], f"--basis={basis}", *argv[1:]]) in (0, 1, 2)

@@ -31,10 +31,13 @@ from torus_rect_tiler import (
     tiling_length,
     verify_tiling,
 )
-from torus_rect_tiler.skeleton import InvalidTilingError, Skeleton, _axis_frames
+from torus_rect_tiler.exact_math import clear_denominators, rat_gcd
+from torus_rect_tiler.lattice import axis_form
+from torus_rect_tiler.skeleton import InvalidTilingError, Skeleton, _place
 from conftest import (
     brute_axis_decomposition,
     random_int_basis,
+    random_positive_rational,
     random_rational,
     random_rational_basis,
     random_split_tiling,
@@ -83,26 +86,44 @@ def test_canonicalize_idempotent_and_shift_invariant():
 
 
 @pytest.mark.parametrize("kind", ["integer", "rational"])
-def test_axis_frames_match_axis_periods_and_locate_is_lattice_invariant(kind):
+def test_axis_form_matches_axis_periods_and_locate_is_lattice_invariant(kind):
     rng = random.Random(48 if kind == "integer" else 49)
     for _ in range(40):
         basis = random_int_basis(rng) if kind == "integer" else random_rational_basis(rng)
         per = axis_periods(basis)
-        frames = _axis_frames(basis)
-        h, v = frames[Orientation.H], frames[Orientation.V]
-        assert h.circumference == per.d_x and h.spacing == basis.covolume / per.d_x
-        assert v.circumference == per.d_y and v.spacing == basis.covolume / per.d_y
+        den, (ux, uy, vx, vy) = clear_denominators(
+            basis.u.x, basis.u.y, basis.v.x, basis.v.y
+        )
+        det = abs(ux * vy - uy * vx)
+        h = axis_form(ux, vx, uy, vy)
+        v = axis_form(uy, vy, ux, vx)
+        assert h[0] == rat_gcd(basis.u.y, basis.v.y) * den and h[0] * h[1] == det
+        assert v[0] == rat_gcd(basis.u.x, basis.v.x) * den and v[0] * v[1] == det
+        assert Fraction(h[1], den) == per.d_x and Fraction(v[1], den) == per.d_y
+        assert 0 <= h[2] < h[1] and 0 <= v[2] < v[1]
         for _ in range(5):
             p = Vec2(random_rational(rng), random_rational(rng))
             q = p + lattice_point(basis, rng.randint(-6, 6), rng.randint(-6, 6))
-            key, coord = h.locate(p.x, p.y)
-            assert (key, coord) == h.locate(q.x, q.y)
-            assert 0 <= key < h.spacing and 0 <= coord < h.circumference
-            assert contains(basis, Vec2(coord, key) - p)
-            key, coord = v.locate(p.y, p.x)
-            assert (key, coord) == v.locate(q.y, q.x)
-            assert 0 <= key < v.spacing and 0 <= coord < v.circumference
-            assert contains(basis, Vec2(key, coord) - p)
+            length = random_positive_rational(rng)
+            for orientation, d in ((Orientation.H, per.d_x), (Orientation.V, per.d_y)):
+                h_line = orientation is Orientation.H
+                place_den, lines, placed = _place(
+                    basis,
+                    [
+                        (orientation, w.x, w.y, length)
+                        if h_line
+                        else (orientation, w.y, w.x, length)
+                        for w in (p, q)
+                    ],
+                )
+                assert placed[0] == placed[1]
+                line_id, arcs = placed[0]
+                line = lines[line_id]
+                key = Fraction(line_id[1], place_den)
+                coord = Fraction(line.cuts[arcs[0]], place_den)
+                assert 0 <= key < basis.covolume / d and 0 <= coord < d
+                assert Fraction(line.circumference, place_den) == d
+                assert contains(basis, (Vec2(coord, key) if h_line else Vec2(key, coord)) - p)
 
 
 # --- verify_tiling -----------------------------------------------------------
@@ -364,6 +385,11 @@ def test_reduce_keeps_already_reduced_tiling():
     reduced, steps = reduce_tiling_with_trace(t)
     assert reduced == t
     assert steps == ()
+
+
+def test_reduce_tiling_returns_the_traced_result():
+    t = split_tiling_17()
+    assert reduce_tiling(t) == reduce_tiling_with_trace(t)[0] == build_optimal(SKEWED_23)
 
 
 def test_reduce_rejects_axis_cycles():
