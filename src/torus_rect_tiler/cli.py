@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .exact_math import (
@@ -20,6 +21,7 @@ from .exact_math import (
 from .lattice import (
     LatticeBasis,
     QuadrantBasis,
+    _inverse_l1_norm,
     enumerate_lattice_points,
     min_length,
 )
@@ -48,6 +50,9 @@ from .tiling import (
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INVALID = 2
+
+# Largest floor(N(B^-1) * radius) `oracle` scans: 2*120^2 points, about 1 s.
+ORACLE_MAX_COEFFICIENT = 120
 
 
 class CliError(Exception):
@@ -225,6 +230,12 @@ def _cmd_oracle(args) -> int:
         raise CliError(str(exc)) from None
     if radius < 0:
         raise CliError("radius must be nonnegative")
+    bound = math.floor(_inverse_l1_norm(basis) * radius)
+    if bound > ORACLE_MAX_COEFFICIENT:
+        raise CliError(
+            f"radius {radius} needs basis coefficients up to {bound}; "
+            f"oracle scans at most {ORACLE_MAX_COEFFICIENT}"
+        )
     points = enumerate_lattice_points(basis, radius)
 
     best = {Quadrant.Q1: None, Quadrant.Q2: None}

@@ -12,14 +12,14 @@ an already cleared lattice, for callers that clear many boxes at once;
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .exact_math import Quadrant, Vec2, l1_norm, quadrant_of
-from .exact_math import clear_denominators
+from .exact_math import Quadrant, Vec2, clear_denominators, l1_norm, quadrant_of
 
 
 class SingularBasisError(ValueError):
@@ -119,16 +119,16 @@ def enumerate_lattice_points(basis: LatticeBasis, radius) -> list[Vec2]:
 
 def box_points(
     cleared: tuple[int, int, int, int], x_lo: int, x_hi: int, y_lo: int, y_hi: int
-) -> list[tuple[int, int]]:
+) -> Iterator[tuple[int, int]]:
     """Points of the integer lattice spanned by cleared = (ux, uy, vx, vy)
-    inside the closed box, as (x, y) pairs sorted by (x, y).
+    inside the closed box, generated as unsorted (x, y) pairs.
 
     The box preimage is a parallelogram, so both coefficient ranges are the
     integer hulls of the corner preimages; per z1 each coordinate constraint
     with a nonzero v-coefficient narrows the z2 range.
     """
     if x_hi < x_lo or y_hi < y_lo:
-        return []
+        return
     ux, uy, vx, vy = cleared
     det = ux * vy - uy * vx
     # Numerators over det of each corner's (z1, z2); // floors for either sign.
@@ -144,7 +144,6 @@ def box_points(
         for u, v, lo, hi in ((ux, vx, x_lo, x_hi), (uy, vy, y_lo, y_hi))
         if v
     ]
-    hits = []
     for z1 in range(z1_min, z1_max + 1):
         lo, hi = z2_min, z2_max
         for u, v, c_lo, c_hi in rows:
@@ -152,9 +151,7 @@ def box_points(
             lo = max(lo, -((base - c_lo) // v))
             hi = min(hi, (c_hi - base) // v)
         for z2 in range(lo, hi + 1):
-            hits.append((z1 * ux + z2 * vx, z1 * uy + z2 * vy))
-    hits.sort()
-    return hits
+            yield z1 * ux + z2 * vx, z1 * uy + z2 * vy
 
 
 def lattice_points_in_box(
@@ -173,7 +170,7 @@ def lattice_points_in_box(
         x_lo, x_hi, y_lo, y_hi = x_lo + 1, x_hi - 1, y_lo + 1, y_hi - 1
     return [
         Vec2(Fraction(a, den), Fraction(b, den))
-        for a, b in box_points((ux, uy, vx, vy), x_lo, x_hi, y_lo, y_hi)
+        for a, b in sorted(box_points((ux, uy, vx, vy), x_lo, x_hi, y_lo, y_hi))
     ]
 
 
@@ -204,24 +201,6 @@ class QuadrantBasis:
         return l1_norm(self.u1) + l1_norm(self.u2)
 
 
-def _l1_shells() -> Iterator[tuple[int, Iterator[tuple[int, int]]]]:
-    n = 0
-    while True:
-        yield n, _shell(n)
-        n += 1
-
-
-def _shell(n: int) -> Iterator[tuple[int, int]]:
-    if n == 0:
-        yield 0, 0
-        return
-    for z1 in range(-n, n + 1):
-        rest = n - abs(z1)
-        yield z1, rest
-        if rest:
-            yield z1, -rest
-
-
 def quadrant_basis(basis: LatticeBasis) -> QuadrantBasis:
     """Find the shortest same-sign and opposite-sign lattice vectors.
 
@@ -235,29 +214,32 @@ def quadrant_basis(basis: LatticeBasis) -> QuadrantBasis:
     inv = _inverse_l1_norm(basis)
     best1: Optional[tuple[int, int, int]] = None  # (norm, y, x) scaled
     best2: Optional[tuple[int, int, int]] = None
-    for n, shell in _l1_shells():
+    for n in itertools.count():
         if best1 is not None and best2 is not None:
             worst = Fraction(max(best1[0], best2[0]), den)
             if n >= math.floor(inv * worst) + 1:
                 break
-        for z1, z2 in shell:
-            a = z1 * ux + z2 * vx
-            b = z1 * uy + z2 * vy
-            if a == 0 and b == 0:
-                continue
-            # Sign classes inlined: a helper call per pair slows this hot loop.
-            if (a > 0 > b) or (a < 0 < b):
-                if a > 0:
-                    a, b = -a, -b
-                key = (b - a, b, a)
-                if best2 is None or key < best2:
-                    best2 = key
-            else:
-                if a < 0 or (a == 0 and b < 0):
-                    a, b = -a, -b
-                key = (a + b, b, a)
-                if best1 is None or key < best1:
-                    best1 = key
+        # The shell |z1| + |z2| = n.
+        for z1 in range(-n, n + 1):
+            rest = n - abs(z1)
+            for z2 in (rest, -rest) if rest else (0,):
+                a = z1 * ux + z2 * vx
+                b = z1 * uy + z2 * vy
+                if a == 0 and b == 0:
+                    continue
+                # Sign classes inlined: a helper call per pair slows this hot loop.
+                if (a > 0 > b) or (a < 0 < b):
+                    if a > 0:
+                        a, b = -a, -b
+                    key = (b - a, b, a)
+                    if best2 is None or key < best2:
+                        best2 = key
+                else:
+                    if a < 0 or (a == 0 and b < 0):
+                        a, b = -a, -b
+                    key = (a + b, b, a)
+                    if best1 is None or key < best1:
+                        best1 = key
     u1 = Vec2(Fraction(best1[2], den), Fraction(best1[1], den))
     u2 = Vec2(Fraction(best2[2], den), Fraction(best2[1], den))
     result = QuadrantBasis(u1, u2)

@@ -5,35 +5,32 @@ Points on the torus are identified by a canonical representative inside the
 fundamental parallelogram.  Horizontal torus lines form a circle family with
 spacing g_y = cov/d_x and circumference d_x (vertical lines symmetrically).
 
-Verification and line placement clear a tiling (or skeleton) and its basis
-to integers over one denominator once per call, and convert back to fractions
-only the values they emit.  Verification scans each open difference box with
-``lattice.box_points``.  Each line family is read off the integer Hermite form
-{a*(d_x, 0) + b*(shear, g_y)} of the cleared lattice (``lattice.axis_form``),
-so locating a point on its line is one divmod and one remainder.  One
-placement routine maps axis segments (rectangle sides or skeleton edges) onto
-lines cut at the segment endpoints; the skeleton's edges, its cycle/path
-decomposition and the reduction's choice of path are all read off those
-lines' covered arcs and runs.
+Internally a tiling has one integer form (den, cleared, boxes), made by one
+``clear_denominators`` call: the basis (ux, uy, vx, vy) and each rectangle as
+a box (x0, x1, y0, y1), all integers over den.  Verification, placement,
+canonical points and the reduction's shifts run on it; only emitted values
+become fractions.  Verification scans open difference boxes with
+``lattice.box_points``.  Each line family is read off the integer Hermite
+form {a*(d_x, 0) + b*(shear, g_y)} of the cleared lattice
+(``lattice.axis_form``), so locating a point on its line is one divmod and
+one remainder.  One placement routine maps axis segments (rectangle sides or
+skeleton edges) onto lines cut at the segment endpoints; the skeleton's
+edges, its cycle/path decomposition and the reduction's choice of path are
+all read off those lines' covered arcs and runs.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable
 
 from .exact_math import Vec2, clear_denominators
-from .lattice import (
-    LatticeBasis,
-    axis_form,
-    basis_coordinates,
-    box_points,
-    lattice_point,
-)
-from .tiling import Rect, Tiling, tiling_length
+from .lattice import LatticeBasis, axis_form, box_points
+from .tiling import Rect, Tiling
+
+_Ints = tuple[int, int, int, int]  # a cleared basis or box
 
 
 class InvalidTilingError(ValueError):
@@ -60,13 +57,26 @@ class TorusPoint:
     rep: Vec2
 
 
+def _point(den: int, x: int, y: int) -> TorusPoint:
+    return TorusPoint(Vec2(Fraction(x, den), Fraction(y, den)))
+
+
+def _canonical(cleared: _Ints, x: int, y: int) -> tuple[int, int]:
+    # The point's basis coordinates are n1/det and n2/det; subtracting their
+    # floors times u and v leaves the fractional parts.  // floors for either
+    # sign of det.
+    ux, uy, vx, vy = cleared
+    det = ux * vy - uy * vx
+    f1 = (x * vy - y * vx) // det
+    f2 = (ux * y - uy * x) // det
+    return x - f1 * ux - f2 * vx, y - f1 * uy - f2 * vy
+
+
 def canonicalize(basis: LatticeBasis, point: Vec2) -> TorusPoint:
     """Quotient map: two planar points give equal TorusPoints iff their
     difference is a lattice point."""
-    z1, z2 = basis_coordinates(basis, point)
-    f1 = z1 - math.floor(z1)
-    f2 = z2 - math.floor(z2)
-    return TorusPoint(lattice_point(basis, f1, f2))
+    den, (*cleared, x, y) = clear_denominators(*basis.entries, point.x, point.y)
+    return _point(den, *_canonical(cleared, x, y))
 
 
 class ViolationKind(Enum):
@@ -95,6 +105,15 @@ class VerificationReport:
         }
 
 
+def _clear(tiling: Tiling) -> tuple[int, _Ints, list[_Ints]]:
+    """The integer form (den, cleared, boxes) of a tiling."""
+    den, ints = clear_denominators(
+        *tiling.basis.entries,
+        *(c for r in tiling.rects for c in (r.x0, r.x1, r.y0, r.y1)),
+    )
+    return den, ints[:4], [ints[k : k + 4] for k in range(4, len(ints), 4)]
+
+
 def verify_tiling(tiling: Tiling) -> VerificationReport:
     """Decide the three tiling conditions exactly.
 
@@ -102,18 +121,18 @@ def verify_tiling(tiling: Tiling) -> VerificationReport:
     lattice point sits in the open box (-w, w) x (-h, h); two interiors meet
     on the torus iff a lattice point sits in their open difference box; and
     given those, coverage is equivalent to the areas summing to the covolume.
-    The basis and all rectangles are cleared to integers once; each open box
-    is a ``box_points`` scan with its bounds moved in by 1.  The box of a
-    rectangle with itself is its injectivity box, which always holds 0.
     """
-    basis = tiling.basis
-    den, ints = clear_denominators(
-        *basis.entries, *(c for r in tiling.rects for c in (r.x0, r.x1, r.y0, r.y1))
-    )
-    cleared = ints[:4]
-    boxes = [ints[k : k + 4] for k in range(4, len(ints), 4)]
-    injectivity: list[Violation] = []
-    overlap: list[Violation] = []
+    violations = _violations(*_clear(tiling))
+    return VerificationReport(valid=not violations, violations=tuple(violations))
+
+
+def _violations(den: int, cleared: _Ints, boxes: list[_Ints]) -> list[Violation]:
+    """``verify_tiling``'s violations of a tiling in integer form.  Each open
+    box is a ``box_points`` scan with its bounds moved in by 1; the least hit
+    is reported.  The box of a rectangle with itself is its injectivity box,
+    which always holds 0.
+    """
+    injectivity, overlap = [], []
     for i, (ix0, ix1, iy0, iy1) in enumerate(boxes):
         for j in range(i, len(boxes)):
             jx0, jx1, jy0, jy1 = boxes[j]
@@ -121,10 +140,11 @@ def verify_tiling(tiling: Tiling) -> VerificationReport:
                 cleared, jx0 - ix1 + 1, jx1 - ix0 - 1, jy0 - iy1 + 1, jy1 - iy0 - 1
             )
             if i == j:
-                hits.remove((0, 0))
-            if not hits:
+                hits = (p for p in hits if p != (0, 0))
+            first = min(hits, default=None)
+            if first is None:
                 continue
-            lam = Vec2(Fraction(hits[0][0], den), Fraction(hits[0][1], den))
+            lam = Vec2(Fraction(first[0], den), Fraction(first[1], den))
             if i == j:
                 text = (
                     f"rect {i}: lattice point {lam} is shorter than the "
@@ -135,27 +155,26 @@ def verify_tiling(tiling: Tiling) -> VerificationReport:
                 text = f"rects {i} and {j}: interiors meet under lattice shift {lam}"
                 overlap.append(Violation(ViolationKind.OVERLAP, text))
     violations = injectivity + overlap
-    total_area = Fraction(
-        sum((x1 - x0) * (y1 - y0) for x0, x1, y0, y1 in boxes), den * den
-    )
-    if total_area != basis.covolume:
-        violations.append(
-            Violation(
-                ViolationKind.COVERAGE,
-                f"rectangle areas sum to {total_area}, torus area is {basis.covolume}",
-            )
-        )
-    return VerificationReport(valid=not violations, violations=tuple(violations))
+    ux, uy, vx, vy = cleared
+    area = Fraction(sum((x1 - x0) * (y1 - y0) for x0, x1, y0, y1 in boxes), den * den)
+    covolume = Fraction(abs(ux * vy - uy * vx), den * den)
+    if area != covolume:
+        text = f"rectangle areas sum to {area}, torus area is {covolume}"
+        violations.append(Violation(ViolationKind.COVERAGE, text))
+    return violations
 
 
-def _violation_text(report: VerificationReport) -> str:
-    return "; ".join(f"{v.kind.value}: {v.detail}" for v in report.violations)
+def _violation_text(violations: list[Violation]) -> str:
+    return "; ".join(f"{v.kind.value}: {v.detail}" for v in violations)
 
 
-def _require_valid(tiling: Tiling) -> None:
-    report = verify_tiling(tiling)
-    if not report.valid:
-        raise InvalidTilingError(_violation_text(report))
+def _clear_valid(tiling: Tiling) -> tuple[int, _Ints, list[_Ints]]:
+    # The integer form of a tiling that must verify.
+    form = _clear(tiling)
+    violations = _violations(*form)
+    if violations:
+        raise InvalidTilingError(_violation_text(violations))
+    return form
 
 
 @dataclass(frozen=True)
@@ -230,30 +249,26 @@ _LineId = tuple[Orientation, int]
 
 
 def _place(
-    basis: LatticeBasis,
-    segments: Iterable[tuple[Orientation, Fraction, Fraction, Fraction]],
-) -> tuple[int, dict[_LineId, _Line], list[tuple[_LineId, tuple[int, ...]]]]:
-    """Map axis segments (orientation, along, offset, length) onto torus lines.
+    cleared: _Ints, segments: Iterable[tuple[Orientation, int, int, int]]
+) -> tuple[dict[_LineId, _Line], list[tuple[_LineId, tuple[int, ...]]]]:
+    """Map axis segments (orientation, x, y, length), running from (x, y) in
+    +x (H) or +y (V), onto torus lines.
 
-    The basis and all segment values are cleared to integers over one
-    denominator den.  Each line is cut at the endpoints of the segments on it;
-    the result holds den, the lines by (orientation, key) and, per segment in
-    input order, its line and the arcs it covers.  Keys (offsets modulo the
-    line spacing), cuts and arc lengths are integers over den.
+    Each line is cut at the endpoints of the segments on it; the result holds
+    the lines by (orientation, key) and, per segment in input order, its line
+    and the arcs it covers.  Segment values, keys (offsets across the line
+    modulo the spacing), cuts and arc lengths are integers over the
+    denominator of the cleared basis.
     """
-    segments = list(segments)
-    den, ints = clear_denominators(
-        *basis.entries, *(value for segment in segments for value in segment[1:])
-    )
-    ux, uy, vx, vy = ints[:4]
+    ux, uy, vx, vy = cleared
     forms = {
         Orientation.H: axis_form(ux, vx, uy, vy),
         Orientation.V: axis_form(uy, vy, ux, vx),
     }
     cut_sets: dict[_LineId, set[int]] = {}
     located = []
-    for k, (orientation, *_) in enumerate(segments):
-        along, offset, length = ints[4 + 3 * k : 7 + 3 * k]
+    for orientation, x, y, length in segments:
+        along, offset = (x, y) if orientation is Orientation.H else (y, x)
         spacing, period, shear = forms[orientation]
         # The lattice vector steps*(shear, spacing) moves the segment onto
         # the line of key in [0, spacing).
@@ -283,16 +298,16 @@ def _place(
             remaining -= line.arc_length(i)
             i = (i + 1) % len(line.cuts)
         placed.append((line_id, tuple(arcs)))
-    return den, lines, placed
+    return lines, placed
 
 
-def _sides(rects: Iterable[Rect]):
-    # Bottom, top, left and right side of each rectangle, as _place segments.
-    for r in rects:
-        yield Orientation.H, r.x0, r.y0, r.width
-        yield Orientation.H, r.x0, r.y1, r.width
-        yield Orientation.V, r.y0, r.x0, r.height
-        yield Orientation.V, r.y0, r.x1, r.height
+def _sides(boxes: Iterable[_Ints]):
+    # Bottom, top, left and right side of each box, as _place segments.
+    for x0, x1, y0, y1 in boxes:
+        yield Orientation.H, x0, y0, x1 - x0
+        yield Orientation.H, x0, y1, x1 - x0
+        yield Orientation.V, x0, y0, y1 - y0
+        yield Orientation.V, x1, y0, y1 - y0
 
 
 def _sorted_line_ids(lines: dict[_LineId, _Line]) -> list[_LineId]:
@@ -306,26 +321,28 @@ def build_skeleton(tiling: Tiling) -> Skeleton:
     coinciding pieces from adjacent rectangles merge into one atomic edge.
     The total edge length equals the tiling length.
     """
-    _require_valid(tiling)
-    basis = tiling.basis
-    den, lines, _ = _place(basis, _sides(tiling.rects))
+    den, cleared, boxes = _clear_valid(tiling)
+    lines, _ = _place(cleared, _sides(boxes))
     # Every cut is a corner image, and every corner lies on one H line.
     vertices = set()
     edges = []
     for (orientation, key), line in lines.items():
         for i, cut in enumerate(line.cuts):
             x, y = (cut, key) if orientation is Orientation.H else (key, cut)
-            w = canonicalize(basis, Vec2(Fraction(x, den), Fraction(y, den)))
+            w = _canonical(cleared, x, y)
             if orientation is Orientation.H:
                 vertices.add(w)
             if line.covered[i]:
-                length = Fraction(line.arc_length(i), den)
-                edges.append(SkeletonEdge(w, orientation, length))
-    edges.sort(
-        key=lambda e: (e.orientation.value, e.origin.rep.x, e.origin.rep.y, e.length)
+                edges.append((orientation.value, w, line.arc_length(i), orientation))
+    edges.sort(key=lambda e: e[:3])
+    return Skeleton(
+        tiling.basis,
+        tuple(_point(den, *w) for w in sorted(vertices)),
+        tuple(
+            SkeletonEdge(_point(den, *w), orientation, Fraction(length, den))
+            for _, w, length, orientation in edges
+        ),
     )
-    ordered = sorted(vertices, key=lambda w: (w.rep.x, w.rep.y))
-    return Skeleton(basis, tuple(ordered), tuple(edges))
 
 
 @dataclass(frozen=True)
@@ -346,17 +363,17 @@ def decompose_axis_paths(skeleton: Skeleton) -> AxisPathDecomposition:
     one maximal path.  Raises ValueError when an edge is not exactly one arc
     of its line, or two edges cover the same arc (a hand-built skeleton).
     """
-    _, lines, placed = _place(
-        skeleton.basis,
-        (
-            (e.orientation, e.origin.rep.x, e.origin.rep.y, e.length)
-            if e.orientation is Orientation.H
-            else (e.orientation, e.origin.rep.y, e.origin.rep.x, e.length)
-            for e in skeleton.edges
-        ),
+    edges = skeleton.edges
+    _, ints = clear_denominators(
+        *skeleton.basis.entries,
+        *(c for e in edges for c in (e.origin.rep.x, e.origin.rep.y, e.length)),
     )
+    segments = (
+        (e.orientation, *ints[4 + 3 * k : 7 + 3 * k]) for k, e in enumerate(edges)
+    )
+    lines, placed = _place(ints[:4], segments)
     edge_at: dict[tuple[_LineId, int], SkeletonEdge] = {}
-    for edge, (line_id, arcs) in zip(skeleton.edges, placed):
+    for edge, (line_id, arcs) in zip(edges, placed):
         if len(arcs) != 1 or (line_id, arcs[0]) in edge_at:
             raise ValueError(f"skeleton edge {edge} is not one arc of its line")
         edge_at[line_id, arcs[0]] = edge
@@ -440,15 +457,12 @@ def reduce_tiling_with_trace(
     step creates one (the message then names the step), since the shift
     applies only to maximal paths.
     """
-    _require_valid(tiling)
-    current = tiling
+    den, cleared, boxes = _clear_valid(tiling)
+    length = sum(x1 - x0 + y1 - y0 for x0, x1, y0, y1 in boxes)
     steps: list[ReductionStep] = []
-    for _ in range(len(tiling.rects) + 2):
-        den, lines, placed = _place(current.basis, _sides(current.rects))
-        runs_by_axis: dict[Orientation, list] = {
-            Orientation.H: [],
-            Orientation.V: [],
-        }
+    for _ in range(len(boxes) + 2):
+        lines, placed = _place(cleared, _sides(boxes))
+        runs_by_axis = {Orientation.H: [], Orientation.V: []}
         for line_id in _sorted_line_ids(lines):
             orientation, key = line_id
             line = lines[line_id]
@@ -469,8 +483,12 @@ def reduce_tiling_with_trace(
             break
         # Lines and their runs are already in (line key, start cut) order.
         target_line, target_start, target_arcs = runs_by_axis[orientation][0]
-        # Index of the low and high side among a rectangle's _sides.
-        lo_side, hi_side = (0, 1) if orientation is Orientation.H else (2, 3)
+        # Index of the low and high side among a box's _sides, and of the
+        # coordinates those sides sit at.
+        if orientation is Orientation.H:
+            lo_side, hi_side, lo, hi = 0, 1, 2, 3
+        else:
+            lo_side, hi_side, lo, hi = 2, 3, 0, 1
 
         def on_target(idx: int, side: int) -> bool:
             line_id, arcs = placed[4 * idx + side]
@@ -482,17 +500,11 @@ def reduce_tiling_with_trace(
                 )
             return True
 
-        s1, s2, s3 = [], [], []
-        hi_on, lo_on = {}, {}
-        for idx in range(len(current.rects)):
-            hi_on[idx] = on_target(idx, hi_side)
-            lo_on[idx] = on_target(idx, lo_side)
-            if hi_on[idx] and lo_on[idx]:
-                s1.append(idx)
-            elif hi_on[idx]:
-                s2.append(idx)
-            elif lo_on[idx]:
-                s3.append(idx)
+        # Per box, whether its low and its high side lie on the path.
+        on = [(on_target(i, lo_side), on_target(i, hi_side)) for i in range(len(boxes))]
+        s1 = tuple(i for i, sides in enumerate(on) if sides == (True, True))
+        s2 = tuple(i for i, sides in enumerate(on) if sides == (False, True))
+        s3 = tuple(i for i, sides in enumerate(on) if sides == (True, False))
 
         mirrored = len(s2) < len(s3)
         working = s3 if mirrored else s2
@@ -500,37 +512,30 @@ def reduce_tiling_with_trace(
             raise ReductionStepInvalidError(
                 "several maximal paths but no shiftable rectangle on the chosen one"
             )
-        direction = 1 if mirrored else -1
-        if orientation is Orientation.H:
-            shrink = min(current.rects[i].height for i in working)
-        else:
-            shrink = min(current.rects[i].width for i in working)
+        shrink = min(boxes[i][hi] - boxes[i][lo] for i in working)
+        shift = shrink if mirrored else -shrink
 
-        new_rects = []
-        eliminated = []
-        for idx, r in enumerate(current.rects):
-            lo_b, hi_b = (r.y0, r.y1) if orientation is Orientation.H else (r.x0, r.x1)
-            new_lo = lo_b + direction * shrink if lo_on[idx] else lo_b
-            new_hi = hi_b + direction * shrink if hi_on[idx] else hi_b
-            if new_lo == new_hi:
+        new_boxes, eliminated = [], []
+        for idx, (box, (lo_on, hi_on)) in enumerate(zip(boxes, on)):
+            box = list(box)
+            if lo_on:
+                box[lo] += shift
+            if hi_on:
+                box[hi] += shift
+            if box[lo] == box[hi]:
                 eliminated.append(idx)
-                continue
-            if orientation is Orientation.H:
-                new_rects.append(Rect(r.x0, r.x1, new_lo, new_hi))
             else:
-                new_rects.append(Rect(new_lo, new_hi, r.y0, r.y1))
+                new_boxes.append(tuple(box))
 
         if not eliminated:
             raise ReductionStepInvalidError("shift eliminated no rectangle")
-        new_tiling = Tiling(current.basis, tuple(new_rects))
-        check = verify_tiling(new_tiling)
-        if not check.valid:
+        violations = _violations(den, cleared, new_boxes)
+        if violations:
             raise ReductionStepInvalidError(
-                "rebuilt tiling is invalid: " + _violation_text(check)
+                "rebuilt tiling is invalid: " + _violation_text(violations)
             )
-        length_before = tiling_length(current)
-        length_after = tiling_length(new_tiling)
-        if not length_after < length_before:
+        new_length = sum(x1 - x0 + y1 - y0 for x0, x1, y0, y1 in new_boxes)
+        if not new_length < length:
             raise ReductionStepInvalidError("reduction step did not shorten the tiling")
         steps.append(
             ReductionStep(
@@ -538,16 +543,17 @@ def reduce_tiling_with_trace(
                 line_key=Fraction(target_line[1], den),
                 path_start=Fraction(target_start, den),
                 mirrored=mirrored,
-                s1=tuple(s1),
-                s2=tuple(s2),
-                s3=tuple(s3),
-                shrink=shrink,
+                s1=s1,
+                s2=s2,
+                s3=s3,
+                shrink=Fraction(shrink, den),
                 eliminated=tuple(eliminated),
-                length_before=length_before,
-                length_after=length_after,
+                length_before=Fraction(length, den),
+                length_after=Fraction(new_length, den),
             )
         )
-        current = new_tiling
+        boxes, length = new_boxes, new_length
     else:
         raise ReductionStepInvalidError("reduction did not terminate")
-    return current, tuple(steps)
+    rects = (Rect(*(Fraction(c, den) for c in box)) for box in boxes)
+    return Tiling(tiling.basis, tuple(rects)), tuple(steps)

@@ -9,10 +9,14 @@ from torus_rect_tiler import (
     Orientation,
     Rect,
     Tiling,
+    TorusPoint,
     Vec2,
-    canonicalize,
+    basis_coordinates,
     enumerate_lattice_points,
     l1_norm,
+    lattice_point,
+    tiling_length,
+    verify_tiling,
 )
 
 
@@ -117,11 +121,18 @@ def brute_axis_period(basis: LatticeBasis, axis: str) -> Fraction:
         assert k <= det + 1, "axis period scan ran away"
 
 
+def brute_canonicalize(basis: LatticeBasis, point: Vec2) -> TorusPoint:
+    """The quotient map on fractions: the lattice point whose basis
+    coordinates are the fractional parts of the point's."""
+    z1, z2 = basis_coordinates(basis, point)
+    return TorusPoint(lattice_point(basis, z1 - math.floor(z1), z2 - math.floor(z2)))
+
+
 def brute_axis_decomposition(skeleton) -> dict:
     """Per orientation, (cycles as edge frozensets, paths as ordered edge tuples).
 
     Independent of the torus-line model in skeleton.py: edges are chained by
-    their canonical endpoints canonicalize(origin + length * axis) alone.
+    their canonical endpoints brute_canonicalize(origin + length * axis) alone.
     """
     result = {}
     for orientation in Orientation:
@@ -129,7 +140,7 @@ def brute_axis_decomposition(skeleton) -> dict:
         edges = [e for e in skeleton.edges if e.orientation is orientation]
         leaving = {e.origin: e for e in edges}
         end = {
-            e: canonicalize(skeleton.basis, e.origin.rep + axis.scaled(e.length))
+            e: brute_canonicalize(skeleton.basis, e.origin.rep + axis.scaled(e.length))
             for e in edges
         }
         entered = set(end.values())
@@ -151,3 +162,40 @@ def brute_axis_decomposition(skeleton) -> dict:
             cycles.add(frozenset(cycle))
         result[orientation] = (cycles, paths)
     return result
+
+
+def replay_reduction(tiling: Tiling, steps) -> Tiling:
+    """Apply each ReductionStep to the rectangles on fractions; return the result.
+
+    Per step, the side of each rectangle in s1 and s3 (low) and in s1 and s2
+    (high) that faces the path moves by the shrink, toward increasing
+    coordinates when mirrored.  Checks the recorded shrink (least extent of
+    the shrinking class), the eliminated rectangles and both lengths, and that
+    every intermediate tiling verifies.
+    """
+    current = tiling
+    for step in steps:
+        horizontal = step.axis is Orientation.H
+        assert step.length_before == tiling_length(current)
+        shrinking = step.s3 if step.mirrored else step.s2
+        extents = [r.height if horizontal else r.width for r in current.rects]
+        assert step.shrink == min(extents[i] for i in shrinking)
+        shift = step.shrink if step.mirrored else -step.shrink
+        rects, eliminated = [], []
+        for i, r in enumerate(current.rects):
+            lo, hi = (r.y0, r.y1) if horizontal else (r.x0, r.x1)
+            if i in step.s1 or i in step.s3:
+                lo += shift
+            if i in step.s1 or i in step.s2:
+                hi += shift
+            if lo == hi:
+                eliminated.append(i)
+            elif horizontal:
+                rects.append(Rect(r.x0, r.x1, lo, hi))
+            else:
+                rects.append(Rect(lo, hi, r.y0, r.y1))
+        assert tuple(eliminated) == step.eliminated
+        current = Tiling(current.basis, tuple(rects))
+        assert step.length_after == tiling_length(current)
+        assert verify_tiling(current).valid
+    return current

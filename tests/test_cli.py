@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -351,6 +352,21 @@ def test_oracle_rejects_a_radius_that_is_not_rational(capsys):
     assert code == 1 and "not a rational literal" in err and out == ""
 
 
+def test_oracle_rejects_a_huge_radius_before_scanning(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "oracle", "-b", UNIT, "--radius", "100000")
+    assert time.perf_counter() - start < 1
+    assert code == 1 and err.startswith("error: radius 100000") and out == ""
+
+
+def test_oracle_bounds_the_basis_coefficients_not_the_radius(capsys):
+    # N(B^-1) = 1001 here, so radius r/1001 scans coefficients up to r.
+    code, doc, _ = run_json(capsys, "oracle", "-b", "1 0 1000 1", "--radius", "120/1001")
+    assert code == 0 and doc["count"] == 1
+    code, out, err = run(capsys, "oracle", "-b", "1 0 1000 1", "--radius", "121/1001")
+    assert code == 1 and "up to 121;" in err and out == ""
+
+
 # --- general ------------------------------------------------------------------
 
 
@@ -455,11 +471,14 @@ def fuzz_file(tmp_path_factory):
 @FUZZ
 @given(
     doc=json_values | near_valid_tilings(),
-    command=st.sampled_from(["verify", "skeleton", "reduce"]),
+    # "{svg}" stands for a file next to the tiling; render requires -o.
+    argv=st.sampled_from([["verify"], ["skeleton"], ["reduce"], ["render", "-o", "{svg}"]]),
 )
-def test_cli_tiling_commands_never_raise(fuzz_file, doc, command):
+def test_cli_tiling_commands_never_raise(fuzz_file, doc, argv):
     fuzz_file.write_text(json.dumps(doc))
-    assert main([command, "-t", str(fuzz_file)]) in (0, 1, 2)
+    svg = str(fuzz_file.with_suffix(".svg"))
+    argv = [arg.format(svg=svg) for arg in argv]
+    assert main([*argv, "-t", str(fuzz_file)]) in (0, 1, 2)
 
 
 basis_texts = st.lists(rational_texts, min_size=3, max_size=5).map(" ".join) | st.text(

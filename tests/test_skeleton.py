@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -36,11 +37,13 @@ from torus_rect_tiler.lattice import axis_form
 from torus_rect_tiler.skeleton import InvalidTilingError, Skeleton, _place
 from conftest import (
     brute_axis_decomposition,
+    brute_canonicalize,
     random_int_basis,
     random_positive_rational,
     random_rational,
     random_rational_basis,
     random_split_tiling,
+    replay_reduction,
 )
 
 SKEWED_23 = LatticeBasis(Vec2(3, 5), Vec2(-4, 1))
@@ -82,6 +85,20 @@ def test_canonicalize_idempotent_and_shift_invariant():
         assert canonicalize(basis, x + shift) == p
 
 
+def test_canonicalize_matches_fraction_oracle():
+    rng = random.Random(51)
+    negative = 0
+    for trial in range(600):
+        if trial % 2:
+            basis = random_rational_basis(rng, bound=20, max_den=9)
+        else:
+            basis = random_int_basis(rng)
+        negative += basis.det < 0
+        p = Vec2(random_rational(rng, bound=90), random_rational(rng, bound=90))
+        assert canonicalize(basis, p) == brute_canonicalize(basis, p)
+    assert negative > 200
+
+
 # --- torus line frames -------------------------------------------------------
 
 
@@ -105,16 +122,14 @@ def test_axis_form_matches_axis_periods_and_locate_is_lattice_invariant(kind):
             p = Vec2(random_rational(rng), random_rational(rng))
             q = p + lattice_point(basis, rng.randint(-6, 6), rng.randint(-6, 6))
             length = random_positive_rational(rng)
+            place_den, (*cleared, px, py, qx, qy, length_int) = clear_denominators(
+                *basis.entries, p.x, p.y, q.x, q.y, length
+            )
             for orientation, d in ((Orientation.H, per.d_x), (Orientation.V, per.d_y)):
                 h_line = orientation is Orientation.H
-                place_den, lines, placed = _place(
-                    basis,
-                    [
-                        (orientation, w.x, w.y, length)
-                        if h_line
-                        else (orientation, w.y, w.x, length)
-                        for w in (p, q)
-                    ],
+                lines, placed = _place(
+                    cleared,
+                    [(orientation, px, py, length_int), (orientation, qx, qy, length_int)],
                 )
                 assert placed[0] == placed[1]
                 line_id, arcs = placed[0]
@@ -132,6 +147,20 @@ def test_axis_form_matches_axis_periods_and_locate_is_lattice_invariant(kind):
 def test_verify_accepts_optimal_construction():
     report = verify_tiling(build_optimal(SKEWED_23))
     assert report.valid and not report.violations
+
+
+def test_verify_memory_does_not_grow_with_the_injectivity_box():
+    # The injectivity box of this square holds 239^2 lattice points.
+    t = Tiling(UNIT, (Rect(0, 120, 0, 120),))
+    tracemalloc.start()
+    try:
+        report = verify_tiling(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kinds(report) == {ViolationKind.INJECTIVITY, ViolationKind.COVERAGE}
+    assert "lattice point (-119, -119)" in report.violations[0].detail
+    assert peak < 1_000_000
 
 
 def test_verify_flags_duplicate_rectangle_as_overlap():
@@ -445,8 +474,24 @@ def test_reduce_monotone_on_random_split_tilings():
         assert not dec2.cycles_h and not dec2.cycles_v
         for step in steps:
             assert step.length_after < step.length_before
+        assert replay_reduction(t, steps) == reduced
         reduced_count += 1
     assert reduced_count > 20
+
+
+def test_reduction_replays_on_rational_bases():
+    rng = random.Random(52)
+    replayed = 0
+    for _ in range(60):
+        basis = random_rational_basis(rng)
+        t = random_split_tiling(rng, build_optimal(basis))
+        dec = decompose_axis_paths(build_skeleton(t))
+        if dec.cycles_h or dec.cycles_v:
+            continue
+        reduced, steps = reduce_tiling_with_trace(t)
+        assert replay_reduction(t, steps) == reduced
+        replayed += 1
+    assert replayed > 20
 
 
 def test_lower_bound_with_equality_only_unsplit():
