@@ -22,6 +22,7 @@ from .lattice import (
     LatticeBasis,
     QuadrantBasis,
     _inverse_l1_norm,
+    axis_periods,
     enumerate_lattice_points,
     min_length,
 )
@@ -34,7 +35,7 @@ from .skeleton import (
     reduce_tiling_with_trace,
     verify_tiling,
 )
-from .svg import render_tiling_svg
+from .svg import render_tiling_svg, view_box
 from .tiling import (
     Axis,
     AxisAlignedGeneratorError,
@@ -53,6 +54,9 @@ EXIT_INVALID = 2
 
 # Largest floor(N(B^-1) * radius) `oracle` scans: 2*120^2 points, about 1 s.
 ORACLE_MAX_COEFFICIENT = 120
+# Largest certified bound on the lattice points `render` draws, at about
+# 50 us per point: the largest accepted picture takes about a second.
+RENDER_MAX_POINTS = 20_000
 
 
 class CliError(Exception):
@@ -218,6 +222,17 @@ def _cmd_render(args) -> int:
     tiling = _load_tiling(args.tiling, args.basis)
     if args.width <= 0:
         raise CliError("--width must be positive")
+    x_lo, x_hi, y_lo, y_hi = view_box(tiling)
+    periods = axis_periods(tiling.basis)
+    # Lattice x-coordinates are the multiples of g_x = m_y - d_y, and the
+    # points over one x step by d_y, so the box holds at most this many.
+    columns = math.floor((x_hi - x_lo) / (periods.m_y - periods.d_y)) + 1
+    points = columns * (math.floor((y_hi - y_lo) / periods.d_y) + 1)
+    if points > RENDER_MAX_POINTS:
+        raise CliError(
+            f"the picture may hold up to {points} lattice points; "
+            f"render draws at most {RENDER_MAX_POINTS}"
+        )
     _emit(render_tiling_svg(tiling, width=args.width), args.output)
     return EXIT_OK
 

@@ -13,14 +13,22 @@ become fractions.  Verification scans open difference boxes with
 ``lattice.box_points``.  Each line family is read off the integer Hermite
 form {a*(d_x, 0) + b*(shear, g_y)} of the cleared lattice
 (``lattice.axis_form``), so locating a point on its line is one divmod and
-one remainder.  One placement routine maps axis segments (rectangle sides or
-skeleton edges) onto lines cut at the segment endpoints; the skeleton's
-edges, its cycle/path decomposition and the reduction's choice of path are
-all read off those lines' covered arcs and runs.
+one remainder.  One placement (``_Placement``) maps axis segments (rectangle
+sides or skeleton edges) onto lines cut at the segment endpoints; the
+skeleton's edges, its cycle/path decomposition and the reduction's choice of
+path are all read off those lines' covered arcs and runs.
+
+The reduction verifies its input in full and then checks each step exactly
+but incrementally (``_edit_valid``): the previous tiling was valid, so only
+rectangle pairs whose open difference box grew or moved are scanned, and
+coverage is the area sum, which the step must keep.  It also places again
+only the sides of the rectangles a step shifted, and cuts again only the
+lines those sides leave or join.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -177,6 +185,55 @@ def _clear_valid(tiling: Tiling) -> tuple[int, _Ints, list[_Ints]]:
     return form
 
 
+def _edit_valid(
+    cleared: _Ints, boxes: list[_Ints], edits: dict[int, _Ints | None]
+) -> bool:
+    """Whether ``boxes`` with ``edits`` applied (index -> new box, or None to
+    drop the box) still tile the torus, given that ``boxes`` do.
+
+    Exactly when ``_violations`` of the edited boxes is empty.  Coverage is
+    the area sum, so the edits' area changes must cancel.  An open difference
+    box that lies inside the pair's old one cannot gain a lattice point, so a
+    pair is scanned only where an edited box grew or moved relative to its
+    partner.  Against an unedited box that happens exactly when the edited
+    box is not inside its old self.
+    """
+
+    def area(box: _Ints) -> int:
+        x0, x1, y0, y1 = box
+        return (x1 - x0) * (y1 - y0)
+
+    if sum((area(new) if new else 0) - area(boxes[k]) for k, new in edits.items()):
+        return False
+    kept = [k for k, new in edits.items() if new]
+    for i in kept:
+        ox0, ox1, oy0, oy1 = boxes[i]
+        ix0, ix1, iy0, iy1 = edits[i]
+        inside = ox0 <= ix0 and ix1 <= ox1 and oy0 <= iy0 and iy1 <= oy1
+        for j in kept if inside else range(len(boxes)):
+            if j in edits:
+                # An edited pair is met once, from its lower index.
+                if edits[j] is None or j < i:
+                    continue
+                px0, px1, py0, py1 = boxes[j]
+                jx0, jx1, jy0, jy1 = edits[j]
+                if (
+                    jx0 - ix1 >= px0 - ox1
+                    and jx1 - ix0 <= px1 - ox0
+                    and jy0 - iy1 >= py0 - oy1
+                    and jy1 - iy0 <= py1 - oy0
+                ):
+                    continue
+            else:
+                jx0, jx1, jy0, jy1 = boxes[j]
+            hits = box_points(
+                cleared, jx0 - ix1 + 1, jx1 - ix0 - 1, jy0 - iy1 + 1, jy1 - iy0 - 1
+            )
+            if any(i != j or p != (0, 0) for p in hits):
+                return False
+    return True
+
+
 @dataclass(frozen=True)
 class SkeletonEdge:
     """Atomic axis-aligned segment: starts at a vertex, runs in +x (H) or +y (V)."""
@@ -245,73 +302,103 @@ class _Line:
         return runs
 
 
-_LineId = tuple[Orientation, int]
+_LineId = tuple[str, int]  # (orientation value, line key)
+
+
+class _Placement:
+    """Axis segments, each under its own key, mapped onto torus lines.
+
+    A segment (orientation, x, y, length) runs from (x, y) in +x ("h") or
+    +y ("v").  Each line is cut at the endpoints of the segments on it, and a
+    segment covers the arcs from its start cut up to its end cut.  ``put`` and
+    ``drop`` change segments; ``recut`` rebuilds only the lines they touched,
+    so a caller that moves a few segments pays for the lines those segments
+    leave or join.  Lines are held by (orientation, line key), the line key
+    being the offset across the line modulo the spacing; segment values, line
+    keys, cuts and arc lengths are integers over the denominator of the
+    cleared basis.
+    """
+
+    def __init__(self, cleared: _Ints):
+        ux, uy, vx, vy = cleared
+        # The Hermite form (spacing, period, shear) of each line family.
+        self.forms = {"h": axis_form(ux, vx, uy, vy), "v": axis_form(uy, vy, ux, vx)}
+        self.on_line: dict[_LineId, dict] = {}  # line -> {key: (start, length)}
+        self.line_of: dict = {}
+        self.arcs: dict = {}  # key -> the arcs its segment covers
+        self.lines: dict[_LineId, _Line] = {}
+        self.touched: set[_LineId] = set()
+
+    def put(self, key, orientation: str, x: int, y: int, length: int) -> None:
+        along, offset = (x, y) if orientation == "h" else (y, x)
+        spacing, period, shear = self.forms[orientation]
+        # The lattice vector steps*(shear, spacing) moves the segment onto
+        # the line of line_key in [0, spacing).
+        steps, line_key = divmod(offset, spacing)
+        line_id = (orientation, line_key)
+        segment = ((along - steps * shear) % period, length)
+        if key in self.line_of:
+            if self.line_of[key] == line_id and self.on_line[line_id][key] == segment:
+                return
+            self.drop(key)
+        self.on_line.setdefault(line_id, {})[key] = segment
+        self.line_of[key] = line_id
+        self.touched.add(line_id)
+
+    def drop(self, key) -> None:
+        line_id = self.line_of.pop(key)
+        del self.on_line[line_id][key]
+        self.arcs.pop(key, None)
+        self.touched.add(line_id)
+
+    def recut(self) -> list[_LineId]:
+        """Rebuild the lines touched since the last call and return their ids,
+        sorted; a line left without segments is removed."""
+        touched = sorted(self.touched)
+        self.touched.clear()
+        for line_id in touched:
+            segments = self.on_line[line_id]
+            if not segments:
+                del self.on_line[line_id]
+                self.lines.pop(line_id, None)
+                continue
+            period = self.forms[line_id[0]][1]
+            ends = {(start + n) % period for start, n in segments.values()}
+            cuts = sorted(ends.union(start for start, _ in segments.values()))
+            line = self.lines[line_id] = _Line(period, cuts)
+            index = {c: i for i, c in enumerate(line.cuts)}
+            for key, (start, remaining) in segments.items():
+                i = index[start]
+                arcs = []
+                while remaining > 0:
+                    arcs.append(i)
+                    line.covered[i] = True
+                    remaining -= line.arc_length(i)
+                    i = (i + 1) % len(line.cuts)
+                self.arcs[key] = tuple(arcs)
+        return touched
 
 
 def _place(
-    cleared: _Ints, segments: Iterable[tuple[Orientation, int, int, int]]
+    cleared: _Ints, segments: Iterable[tuple[str, int, int, int]]
 ) -> tuple[dict[_LineId, _Line], list[tuple[_LineId, tuple[int, ...]]]]:
-    """Map axis segments (orientation, x, y, length), running from (x, y) in
-    +x (H) or +y (V), onto torus lines.
-
-    Each line is cut at the endpoints of the segments on it; the result holds
-    the lines by (orientation, key) and, per segment in input order, its line
-    and the arcs it covers.  Segment values, keys (offsets across the line
-    modulo the spacing), cuts and arc lengths are integers over the
-    denominator of the cleared basis.
-    """
-    ux, uy, vx, vy = cleared
-    forms = {
-        Orientation.H: axis_form(ux, vx, uy, vy),
-        Orientation.V: axis_form(uy, vy, ux, vx),
-    }
-    cut_sets: dict[_LineId, set[int]] = {}
-    located = []
-    for orientation, x, y, length in segments:
-        along, offset = (x, y) if orientation is Orientation.H else (y, x)
-        spacing, period, shear = forms[orientation]
-        # The lattice vector steps*(shear, spacing) moves the segment onto
-        # the line of key in [0, spacing).
-        steps, key = divmod(offset, spacing)
-        start = (along - steps * shear) % period
-        cut_sets.setdefault((orientation, key), set()).update(
-            (start, (start + length) % period)
-        )
-        located.append(((orientation, key), start, length))
-
-    lines = {
-        line_id: _Line(forms[line_id[0]][1], sorted(cuts))
-        for line_id, cuts in cut_sets.items()
-    }
-    cut_index = {
-        line_id: {c: i for i, c in enumerate(line.cuts)}
-        for line_id, line in lines.items()
-    }
-    placed = []
-    for line_id, start, remaining in located:
-        line = lines[line_id]
-        i = cut_index[line_id][start]
-        arcs = []
-        while remaining > 0:
-            arcs.append(i)
-            line.covered[i] = True
-            remaining -= line.arc_length(i)
-            i = (i + 1) % len(line.cuts)
-        placed.append((line_id, tuple(arcs)))
-    return lines, placed
+    """Place axis segments (orientation, x, y, length) all at once: the lines
+    and, per segment in input order, its line and the arcs it covers."""
+    placement = _Placement(cleared)
+    for k, segment in enumerate(segments):
+        placement.put(k, *segment)
+    placement.recut()
+    keys = range(len(placement.line_of))
+    return placement.lines, [(placement.line_of[k], placement.arcs[k]) for k in keys]
 
 
-def _sides(boxes: Iterable[_Ints]):
-    # Bottom, top, left and right side of each box, as _place segments.
-    for x0, x1, y0, y1 in boxes:
-        yield Orientation.H, x0, y0, x1 - x0
-        yield Orientation.H, x0, y1, x1 - x0
-        yield Orientation.V, x0, y0, y1 - y0
-        yield Orientation.V, x1, y0, y1 - y0
-
-
-def _sorted_line_ids(lines: dict[_LineId, _Line]) -> list[_LineId]:
-    return sorted(lines, key=lambda line_id: (line_id[0].value, line_id[1]))
+def _sides(box: _Ints):
+    # Bottom, top, left and right side of a box, as segments.
+    x0, x1, y0, y1 = box
+    yield "h", x0, y0, x1 - x0
+    yield "h", x0, y1, x1 - x0
+    yield "v", x0, y0, y1 - y0
+    yield "v", x1, y0, y1 - y0
 
 
 def build_skeleton(tiling: Tiling) -> Skeleton:
@@ -322,25 +409,25 @@ def build_skeleton(tiling: Tiling) -> Skeleton:
     The total edge length equals the tiling length.
     """
     den, cleared, boxes = _clear_valid(tiling)
-    lines, _ = _place(cleared, _sides(boxes))
+    lines, _ = _place(cleared, (side for box in boxes for side in _sides(box)))
     # Every cut is a corner image, and every corner lies on one H line.
     vertices = set()
     edges = []
     for (orientation, key), line in lines.items():
         for i, cut in enumerate(line.cuts):
-            x, y = (cut, key) if orientation is Orientation.H else (key, cut)
+            x, y = (cut, key) if orientation == "h" else (key, cut)
             w = _canonical(cleared, x, y)
-            if orientation is Orientation.H:
+            if orientation == "h":
                 vertices.add(w)
             if line.covered[i]:
-                edges.append((orientation.value, w, line.arc_length(i), orientation))
-    edges.sort(key=lambda e: e[:3])
+                edges.append((orientation, w, line.arc_length(i)))
+    edges.sort()
     return Skeleton(
         tiling.basis,
         tuple(_point(den, *w) for w in sorted(vertices)),
         tuple(
-            SkeletonEdge(_point(den, *w), orientation, Fraction(length, den))
-            for _, w, length, orientation in edges
+            SkeletonEdge(_point(den, *w), Orientation(axis), Fraction(length, den))
+            for axis, w, length in edges
         ),
     )
 
@@ -369,7 +456,7 @@ def decompose_axis_paths(skeleton: Skeleton) -> AxisPathDecomposition:
         *(c for e in edges for c in (e.origin.rep.x, e.origin.rep.y, e.length)),
     )
     segments = (
-        (e.orientation, *ints[4 + 3 * k : 7 + 3 * k]) for k, e in enumerate(edges)
+        (e.orientation.value, *ints[4 + 3 * k : 7 + 3 * k]) for k, e in enumerate(edges)
     )
     lines, placed = _place(ints[:4], segments)
     edge_at: dict[tuple[_LineId, int], SkeletonEdge] = {}
@@ -378,18 +465,18 @@ def decompose_axis_paths(skeleton: Skeleton) -> AxisPathDecomposition:
             raise ValueError(f"skeleton edge {edge} is not one arc of its line")
         edge_at[line_id, arcs[0]] = edge
 
-    cycles = {Orientation.H: [], Orientation.V: []}
-    paths = {Orientation.H: [], Orientation.V: []}
-    for line_id in _sorted_line_ids(lines):
+    cycles = {"h": [], "v": []}
+    paths = {"h": [], "v": []}
+    for line_id in sorted(lines):
         line = lines[line_id]
         found = cycles if all(line.covered) else paths
         for run in line.runs():
             found[line_id[0]].append(tuple(edge_at[line_id, i] for i in run))
     return AxisPathDecomposition(
-        cycles_h=tuple(cycles[Orientation.H]),
-        paths_h=tuple(paths[Orientation.H]),
-        cycles_v=tuple(cycles[Orientation.V]),
-        paths_v=tuple(paths[Orientation.V]),
+        cycles_h=tuple(cycles["h"]),
+        paths_h=tuple(paths["h"]),
+        cycles_v=tuple(cycles["v"]),
+        paths_v=tuple(paths["v"]),
     )
 
 
@@ -442,6 +529,11 @@ def reduce_tiling(tiling: Tiling) -> Tiling:
     return reduced
 
 
+def _half_perimeter(box: _Ints) -> int:
+    x0, x1, y0, y1 = box
+    return x1 - x0 + y1 - y0
+
+
 def reduce_tiling_with_trace(
     tiling: Tiling,
 ) -> tuple[Tiling, tuple[ReductionStep, ...]]:
@@ -453,58 +545,77 @@ def reduce_tiling_with_trace(
     valid tiling with exactly one maximal path per axis and length at most the
     input's.
 
+    The input is verified in full; each step is then checked exactly but only
+    where it can fail (``_edit_valid``): the area sum must stay the covolume,
+    and a rectangle pair is scanned for a lattice shift only when a moved or
+    grown rectangle's difference box is not inside the pair's old one.  Only
+    the sides of the shifted rectangles are placed again, and only the lines
+    they leave or join are cut again.  A step that fails its check raises
+    with the full verification report; the reduced tiling is verified in full
+    once more.
+
     Raises CycleExistsError when the input has an axis cycle, and also when a
     step creates one (the message then names the step), since the shift
     applies only to maximal paths.
     """
     den, cleared, boxes = _clear_valid(tiling)
-    length = sum(x1 - x0 + y1 - y0 for x0, x1, y0, y1 in boxes)
+    length = sum(map(_half_perimeter, boxes))
+    # Sides are keyed by (box id, side index); a box keeps its id while the
+    # indices of the boxes after an eliminated one drop.
+    ids = list(range(len(boxes)))
+    placement = _Placement(cleared)
+    for box_id, box in enumerate(boxes):
+        for side, segment in enumerate(_sides(box)):
+            placement.put((box_id, side), *segment)
+    runs: dict[_LineId, list[list[int]]] = {}
+    run_count = {"h": 0, "v": 0}
     steps: list[ReductionStep] = []
     for _ in range(len(boxes) + 2):
-        lines, placed = _place(cleared, _sides(boxes))
-        runs_by_axis = {Orientation.H: [], Orientation.V: []}
-        for line_id in _sorted_line_ids(lines):
-            orientation, key = line_id
-            line = lines[line_id]
+        # Only a line a step touched can have closed into a cycle.
+        for line_id in placement.recut():
+            run_count[line_id[0]] -= len(runs.pop(line_id, ()))
+            line = placement.lines.get(line_id)
+            if line is None:
+                continue
             if all(line.covered):
                 after = f" after step {len(steps)}" if steps else ""
                 raise CycleExistsError(
-                    f"{orientation.value}-cycle on line {Fraction(key, den)}"
+                    f"{line_id[0]}-cycle on line {Fraction(line_id[1], den)}"
                     f"{after}: the path-merging reduction does not apply"
                 )
-            for run in line.runs():
-                runs_by_axis[orientation].append((line_id, line.cuts[run[0]], set(run)))
+            runs[line_id] = line.runs()
+            run_count[line_id[0]] += len(runs[line_id])
 
-        if len(runs_by_axis[Orientation.H]) > 1:
-            orientation = Orientation.H
-        elif len(runs_by_axis[Orientation.V]) > 1:
-            orientation = Orientation.V
+        if run_count["h"] > 1:
+            orientation = "h"
+        elif run_count["v"] > 1:
+            orientation = "v"
         else:
             break
-        # Lines and their runs are already in (line key, start cut) order.
-        target_line, target_start, target_arcs = runs_by_axis[orientation][0]
+        # The first run of the first line, in (line key, start cut) order.
+        target_line = min(line_id for line_id in runs if line_id[0] == orientation)
+        target_run = runs[target_line][0]
+        target_start = placement.lines[target_line].cuts[target_run[0]]
+        target_arcs = set(target_run)
         # Index of the low and high side among a box's _sides, and of the
         # coordinates those sides sit at.
-        if orientation is Orientation.H:
-            lo_side, hi_side, lo, hi = 0, 1, 2, 3
-        else:
-            lo_side, hi_side, lo, hi = 2, 3, 0, 1
+        lo_side, lo, hi = (0, 2, 3) if orientation == "h" else (2, 0, 1)
 
-        def on_target(idx: int, side: int) -> bool:
-            line_id, arcs = placed[4 * idx + side]
-            if line_id != target_line or target_arcs.isdisjoint(arcs):
-                return False
+        # Per box with a side on the path, whether its low and its high side are.
+        on: dict[int, list[bool]] = {}
+        for box_id, side in placement.on_line[target_line]:
+            arcs = placement.arcs[box_id, side]
+            if target_arcs.isdisjoint(arcs):
+                continue
             if not target_arcs.issuperset(arcs):
                 raise ReductionStepInvalidError(
                     "rectangle side straddles two maximal paths"
                 )
-            return True
-
-        # Per box, whether its low and its high side lie on the path.
-        on = [(on_target(i, lo_side), on_target(i, hi_side)) for i in range(len(boxes))]
-        s1 = tuple(i for i, sides in enumerate(on) if sides == (True, True))
-        s2 = tuple(i for i, sides in enumerate(on) if sides == (False, True))
-        s3 = tuple(i for i, sides in enumerate(on) if sides == (True, False))
+            idx = bisect_left(ids, box_id)
+            on.setdefault(idx, [False, False])[side - lo_side] = True
+        s1 = tuple(sorted(i for i, sides in on.items() if sides == [True, True]))
+        s2 = tuple(sorted(i for i, sides in on.items() if sides == [False, True]))
+        s3 = tuple(sorted(i for i, sides in on.items() if sides == [True, False]))
 
         mirrored = len(s2) < len(s3)
         working = s3 if mirrored else s2
@@ -515,31 +626,33 @@ def reduce_tiling_with_trace(
         shrink = min(boxes[i][hi] - boxes[i][lo] for i in working)
         shift = shrink if mirrored else -shrink
 
-        new_boxes, eliminated = [], []
-        for idx, (box, (lo_on, hi_on)) in enumerate(zip(boxes, on)):
-            box = list(box)
+        edits: dict[int, _Ints | None] = {}
+        for idx, (lo_on, hi_on) in on.items():
+            box = list(boxes[idx])
             if lo_on:
                 box[lo] += shift
             if hi_on:
                 box[hi] += shift
-            if box[lo] == box[hi]:
-                eliminated.append(idx)
-            else:
-                new_boxes.append(tuple(box))
+            edits[idx] = None if box[lo] == box[hi] else tuple(box)
+        eliminated = tuple(sorted(i for i, box in edits.items() if box is None))
 
         if not eliminated:
             raise ReductionStepInvalidError("shift eliminated no rectangle")
-        violations = _violations(den, cleared, new_boxes)
-        if violations:
+        new_boxes = [edits.get(i, box) for i, box in enumerate(boxes)]
+        if not _edit_valid(cleared, boxes, edits):
+            violations = _violations(den, cleared, [b for b in new_boxes if b])
             raise ReductionStepInvalidError(
                 "rebuilt tiling is invalid: " + _violation_text(violations)
             )
-        new_length = sum(x1 - x0 + y1 - y0 for x0, x1, y0, y1 in new_boxes)
+        new_length = length + sum(
+            (_half_perimeter(new) if new else 0) - _half_perimeter(boxes[i])
+            for i, new in edits.items()
+        )
         if not new_length < length:
             raise ReductionStepInvalidError("reduction step did not shorten the tiling")
         steps.append(
             ReductionStep(
-                axis=orientation,
+                axis=Orientation(orientation),
                 line_key=Fraction(target_line[1], den),
                 path_start=Fraction(target_start, den),
                 mirrored=mirrored,
@@ -547,13 +660,27 @@ def reduce_tiling_with_trace(
                 s2=s2,
                 s3=s3,
                 shrink=Fraction(shrink, den),
-                eliminated=tuple(eliminated),
+                eliminated=eliminated,
                 length_before=Fraction(length, den),
                 length_after=Fraction(new_length, den),
             )
         )
-        boxes, length = new_boxes, new_length
+        for idx, box in edits.items():
+            if box:
+                for side, segment in enumerate(_sides(box)):
+                    placement.put((ids[idx], side), *segment)
+            else:
+                for side in range(4):
+                    placement.drop((ids[idx], side))
+        ids = [box_id for box_id, box in zip(ids, new_boxes) if box]
+        boxes = [box for box in new_boxes if box]
+        length = new_length
     else:
         raise ReductionStepInvalidError("reduction did not terminate")
+    violations = _violations(den, cleared, boxes)
+    if violations:
+        raise ReductionStepInvalidError(
+            "reduced tiling is invalid: " + _violation_text(violations)
+        )
     rects = (Rect(*(Fraction(c, den) for c in box)) for box in boxes)
     return Tiling(tiling.basis, tuple(rects)), tuple(steps)

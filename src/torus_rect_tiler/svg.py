@@ -25,20 +25,28 @@ def _round3(x: Fraction) -> str:
     return ("-" + text) if m < 0 else text
 
 
+def view_box(tiling: Tiling) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """The plane box (x_lo, x_hi, y_lo, y_hi) a picture of the tiling shows:
+    the basis parallelogram and every rectangle, padded on each side by a
+    tenth of the larger extent.  The picture draws every lattice point in it.
+    """
+    basis = tiling.basis
+    anchors = [Vec2(0, 0), basis.u, basis.v, basis.u + basis.v]
+    for rect in tiling.rects:
+        anchors.extend(rect.corners())
+    xs = [p.x for p in anchors]
+    ys = [p.y for p in anchors]
+    pad = max(max(xs) - min(xs), max(ys) - min(ys)) / 10
+    return min(xs) - pad, max(xs) + pad, min(ys) - pad, max(ys) + pad
+
+
 def render_tiling_svg(tiling: Tiling, width: int = 640) -> str:
     """Render the tiling to standalone SVG text."""
     if width <= 0:
         raise ValueError("width must be a positive pixel count")
     basis = tiling.basis
     origin = Vec2(0, 0)
-    anchors = [origin, basis.u, basis.v, basis.u + basis.v]
-    for rect in tiling.rects:
-        anchors.extend(rect.corners())
-    xs = [p.x for p in anchors]
-    ys = [p.y for p in anchors]
-    pad = max(max(xs) - min(xs), max(ys) - min(ys)) / 10
-    x_lo, x_hi = min(xs) - pad, max(xs) + pad
-    y_lo, y_hi = min(ys) - pad, max(ys) + pad
+    x_lo, x_hi, y_lo, y_hi = view_box(tiling)
     scale = Fraction(width) / (x_hi - x_lo)
 
     def point(p: Vec2) -> tuple[str, str]:

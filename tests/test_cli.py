@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from torus_rect_tiler.cli import main
+from torus_rect_tiler.cli import RENDER_MAX_POINTS, main
 from torus_rect_tiler.exact_math import Vec2
 from torus_rect_tiler.lattice import LatticeBasis
 from torus_rect_tiler.tiling import build_optimal, tiling_to_json_dict
@@ -306,6 +306,18 @@ def test_render_unwritable_path(capsys, tmp_path):
         capsys, "render", "-t", str(tiling_path), "-o", str(tmp_path / "no" / "dir.svg")
     )
     assert code == 1 and "error" in err
+
+
+def test_render_refuses_a_picture_with_too_many_lattice_points(capsys, tmp_path):
+    # Over Z^2 the picture of (1,1),(1000,1001) spans about 1200 x 1200.
+    tiling_path = write_tiling(tmp_path, capsys, "1 1 1000 1001", "--force", "one-rect-x")
+    out_path = tmp_path / "huge.svg"
+    start = time.perf_counter()
+    code, out, err = run(capsys, "render", "-t", str(tiling_path), "-o", str(out_path))
+    assert time.perf_counter() - start < 1
+    assert code == 1 and err.startswith("error: the picture may hold up to ")
+    assert err.rstrip().endswith(f"render draws at most {RENDER_MAX_POINTS}")
+    assert out == "" and not out_path.exists()
 
 
 def test_render_rejects_nonpositive_width(capsys, tmp_path):

@@ -15,6 +15,7 @@ from torus_rect_tiler import (
     Tiling,
     Vec2,
     ViolationKind,
+    Winner,
     axis_periods,
     build_one_rect,
     build_optimal,
@@ -34,7 +35,15 @@ from torus_rect_tiler import (
 )
 from torus_rect_tiler.exact_math import clear_denominators, rat_gcd
 from torus_rect_tiler.lattice import axis_form
-from torus_rect_tiler.skeleton import InvalidTilingError, Skeleton, _place
+from torus_rect_tiler import skeleton
+from torus_rect_tiler.skeleton import (
+    InvalidTilingError,
+    Skeleton,
+    _clear,
+    _edit_valid,
+    _place,
+    _violations,
+)
 from conftest import (
     brute_axis_decomposition,
     brute_canonicalize,
@@ -129,7 +138,7 @@ def test_axis_form_matches_axis_periods_and_locate_is_lattice_invariant(kind):
                 h_line = orientation is Orientation.H
                 lines, placed = _place(
                     cleared,
-                    [(orientation, px, py, length_int), (orientation, qx, qy, length_int)],
+                    [(orientation.value, px, py, length_int), (orientation.value, qx, qy, length_int)],
                 )
                 assert placed[0] == placed[1]
                 line_id, arcs = placed[0]
@@ -492,6 +501,135 @@ def test_reduction_replays_on_rational_bases():
         assert replay_reduction(t, steps) == reduced
         replayed += 1
     assert replayed > 20
+
+
+def random_box_edit(rng, cleared, boxes):
+    """One random edit of one or two boxes, as index -> new box (None deletes).
+
+    A translation by a lattice vector, or a shared side of two adjacent boxes
+    moved along, keeps the tiling valid; other translations, a side moved out
+    or in, a deletion, and a grow of one box with an equal shrink of its
+    neighbour's far side mostly break it.
+    """
+    ux, uy, vx, vy = cleared
+    span = max(map(abs, cleared))
+
+    def single(i):
+        x0, x1, y0, y1 = boxes[i]
+        kind = rng.choice(["lattice", "translate", "nudge", "grow", "shrink", "delete"])
+        if kind == "delete":
+            return None
+        if kind in ("lattice", "translate", "nudge"):
+            if kind == "lattice":
+                z1, z2 = rng.randint(-2, 2), rng.randint(-2, 2)
+                dx, dy = z1 * ux + z2 * vx, z1 * uy + z2 * vy
+            elif kind == "translate":
+                dx, dy = rng.randint(-span, span), rng.randint(-span, span)
+            else:
+                dx, dy = rng.choice([(1, 0), (-1, 0), (0, 1), (0, -1), (1, -1)])
+            return x0 + dx, x1 + dx, y0 + dy, y1 + dy
+        box = [x0, x1, y0, y1]
+        side = rng.randrange(4)
+        outward = 1 if side % 2 else -1
+        extent = box[side | 1] - box[side & 2]
+        if kind == "grow":
+            box[side] += outward * rng.randint(1, span)
+        elif extent > 1:
+            box[side] -= outward * rng.randint(1, extent - 1)
+        return tuple(box)
+
+    adjacent = [
+        (a, b, axis)
+        for axis in (0, 2)
+        for a, box_a in enumerate(boxes)
+        for b, box_b in enumerate(boxes)
+        if box_a[axis + 1] == box_b[axis]
+        and box_a[2 - axis : 4 - axis] == box_b[2 - axis : 4 - axis]
+    ]
+    if adjacent and rng.random() < 0.4:
+        # Move the side shared by a (low) and b (high) from c to c_new; the
+        # box that shrinks gives up its shared side or, breaking the tiling,
+        # its far side.
+        a, b, axis = rng.choice(adjacent)
+        low, high = list(boxes[a]), list(boxes[b])
+        start, c, end = low[axis], low[axis + 1], high[axis + 1]
+        if rng.random() < 0.5:
+            c_new = rng.choice([t for t in range(start, end + 1) if t != c])
+        else:
+            c_new = rng.choice([t for t in (c - 1, c + 1) if start <= t <= end])
+        if rng.random() < 0.5:
+            low[axis + 1] = high[axis] = c_new
+        elif c_new > c:
+            low[axis + 1], high[axis + 1] = c_new, end - (c_new - c)
+        else:
+            high[axis], low[axis] = c_new, start + (c - c_new)
+        return {
+            k: tuple(box) if box[axis] < box[axis + 1] else None
+            for k, box in ((a, low), (b, high))
+        }
+    chosen = rng.sample(range(len(boxes)), min(len(boxes), rng.randint(1, 2)))
+    return {i: single(i) for i in chosen}
+
+
+def test_step_check_agrees_with_full_verification():
+    rng = random.Random(53)
+    valid = balanced_invalid = 0
+    for trial in range(300):
+        if trial % 2:
+            basis = random_rational_basis(rng)
+        else:
+            basis = random_int_basis(rng, bound=12)
+        den, cleared, boxes = _clear(random_split_tiling(rng, build_optimal(basis)))
+        # Either box of a pair may come first.
+        rng.shuffle(boxes)
+        for _ in range(4):
+            edits = random_box_edit(rng, cleared, boxes)
+            edited = [edits.get(k, box) for k, box in enumerate(boxes)]
+            edited = [box for box in edited if box]
+            full = _violations(den, cleared, edited)
+            assert _edit_valid(cleared, boxes, edits) == (not full), (edits, full)
+            valid += not full
+            balanced_invalid += bool(full) and all(
+                v.kind is not ViolationKind.COVERAGE for v in full
+            )
+    assert valid > 150 and balanced_invalid > 150
+
+
+def cycle_free_split_tiling(seed: int, count: int) -> Tiling:
+    """A split tiling of count rectangles that reduces without meeting a cycle."""
+    rng = random.Random(seed)
+    while True:
+        basis = random_int_basis(rng, bound=20)
+        rep = min_length(basis)
+        if rep.winner is not Winner.TWO_RECT:
+            continue
+        t = build_optimal(basis, rep)
+        while len(t.rects) < count:
+            t = random_split_tiling(rng, t, max_splits=1)
+        try:
+            reduce_tiling_with_trace(t)
+        except CycleExistsError:
+            continue
+        return t
+
+
+# Rechecking every step in full made 3309 box queries on the 32-rectangle
+# tiling and 29369 on the 64-rectangle one (15 and 42 steps).
+@pytest.mark.parametrize("count, full_recheck", [(32, 3309), (64, 29369)])
+def test_reduction_scans_only_pairs_a_step_can_change(monkeypatch, count, full_recheck):
+    t = cycle_free_split_tiling(count, count)
+    calls = 0
+    box_points = skeleton.box_points
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return box_points(*args)
+
+    monkeypatch.setattr(skeleton, "box_points", counting)
+    reduced, steps = reduce_tiling_with_trace(t)
+    assert calls < full_recheck / 3
+    assert replay_reduction(t, steps) == reduced
 
 
 def test_lower_bound_with_equality_only_unsplit():
