@@ -360,6 +360,11 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ValueError as exc:  # an int past sys.get_int_max_str_digits() digits
+        if "integer string conversion" not in str(exc):
+            raise
+        print("error: a number has too many digits to read or print", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

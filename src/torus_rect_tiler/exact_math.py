@@ -49,8 +49,10 @@ class Vec2:
     y: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "x", Fraction(self.x))
-        object.__setattr__(self, "y", Fraction(self.y))
+        if type(self.x) is not Fraction:
+            object.__setattr__(self, "x", Fraction(self.x))
+        if type(self.y) is not Fraction:
+            object.__setattr__(self, "y", Fraction(self.y))
 
     def __add__(self, other: "Vec2") -> "Vec2":
         return Vec2(self.x + other.x, self.y + other.y)

@@ -6,7 +6,8 @@ All searches are certified exact: enumeration bounds come from the l1 operator
 norm of the inverse basis matrix.  Searches and box queries run on integers:
 the basis (and any bounds) are cleared once by ``clear_denominators``, and
 only results are converted back to fractions.  ``box_points`` scans a box of
-an already cleared lattice, for callers that clear many boxes at once;
+an already cleared lattice, for callers that clear many boxes at once, in
+O(1) for its coefficient hull plus O(z1 span) plus O(points) time;
 ``axis_form`` is the integer Hermite form of a cleared lattice along an axis.
 """
 
@@ -123,19 +124,21 @@ def box_points(
     """Points of the integer lattice spanned by cleared = (ux, uy, vx, vy)
     inside the closed box, generated as unsorted (x, y) pairs.
 
-    The box preimage is a parallelogram, so both coefficient ranges are the
-    integer hulls of the corner preimages; per z1 each coordinate constraint
-    with a nonzero v-coefficient narrows the z2 range.
+    Takes O(1) for the coefficient hull, O(1) per z1 in it and O(1) per point:
+    with det > 0 each hull bound is a linear form at one box corner, and per z1
+    each coordinate constraint with a nonzero v-coefficient narrows z2.
     """
     if x_hi < x_lo or y_hi < y_lo:
         return
     ux, uy, vx, vy = cleared
-    det = ux * vy - uy * vx
-    # Numerators over det of each corner's (z1, z2); // floors for either sign.
-    n1 = [x * vy - y * vx for x in (x_lo, x_hi) for y in (y_lo, y_hi)]
-    n2 = [ux * y - uy * x for x in (x_lo, x_hi) for y in (y_lo, y_hi)]
-    z1_min, z1_max = min(-(-n // det) for n in n1), max(n // det for n in n1)
-    z2_min, z2_max = min(-(-n // det) for n in n2), max(n // det for n in n2)
+    d = ux * vy - uy * vx
+    if d < 0:  # -v spans the same lattice, with z2 negated
+        vx, vy, d = -vx, -vy, -d
+    # d*z1 = x*vy - y*vx and d*z2 = ux*y - uy*x; entry signs pick each bound's corner.
+    z1_min = -(((y_hi if vx > 0 else y_lo) * vx - (x_lo if vy > 0 else x_hi) * vy) // d)
+    z1_max = ((x_hi if vy > 0 else x_lo) * vy - (y_lo if vx > 0 else y_hi) * vx) // d
+    z2_min = -(((x_hi if uy > 0 else x_lo) * uy - (y_lo if ux > 0 else y_hi) * ux) // d)
+    z2_max = ((y_hi if ux > 0 else y_lo) * ux - (x_lo if uy > 0 else x_hi) * uy) // d
     # lo <= z1*u + z2*v <= hi per axis, negated where needed so that v > 0.
     # With v = 0 the constraint reads z1 = coordinate/u exactly, which the z1
     # range already enforces, so it is left out.
@@ -148,8 +151,8 @@ def box_points(
         lo, hi = z2_min, z2_max
         for u, v, c_lo, c_hi in rows:
             base = z1 * u
-            lo = max(lo, -((base - c_lo) // v))
-            hi = min(hi, (c_hi - base) // v)
+            lo = t if (t := -((base - c_lo) // v)) > lo else lo
+            hi = t if (t := (c_hi - base) // v) < hi else hi
         for z2 in range(lo, hi + 1):
             yield z1 * ux + z2 * vx, z1 * uy + z2 * vy
 

@@ -101,6 +101,26 @@ def brute_quadrant_minima(basis: LatticeBasis) -> tuple[Fraction, Fraction]:
         radius *= 2
 
 
+def brute_box_points(cleared, x_lo, x_hi, y_lo, y_hi) -> list[tuple[int, int]]:
+    """Points of the integer lattice spanned by cleared = (ux, uy, vx, vy) in
+    the closed box, sorted: scan the square |z1|, |z2| <= k and filter.
+
+    Independent of lattice.box_points: every (x, y) in the box has
+    |z1| = |x*vy - y*vx| / |det| <= reach * (|vx| + |vy|) / |det|, with reach
+    the largest |coordinate| of the box, and likewise |z2|.
+    """
+    ux, uy, vx, vy = cleared
+    reach = max(abs(x_lo), abs(x_hi), abs(y_lo), abs(y_hi))
+    k = reach * max(abs(vx) + abs(vy), abs(ux) + abs(uy)) // abs(ux * vy - uy * vx)
+    points = []
+    for z1 in range(-k, k + 1):
+        for z2 in range(-k, k + 1):
+            x, y = z1 * ux + z2 * vx, z1 * uy + z2 * vy
+            if x_lo <= x <= x_hi and y_lo <= y <= y_hi:
+                points.append((x, y))
+    return sorted(points)
+
+
 def brute_axis_period(basis: LatticeBasis, axis: str) -> Fraction:
     """Least positive a with (a, 0) (axis="x") or (0, a) (axis="y") on the
     lattice, for integer bases: scan multiples of the coordinate gcd and test

@@ -418,6 +418,20 @@ def test_usage_errors_exit_one(capsys):
     assert exc.value.code == 1
 
 
+def test_numbers_past_the_int_digit_limit_are_an_error_line(capsys, tmp_path):
+    # By default Python converts no int of over 4300 digits to or from text.  Here
+    # the covolume has 5001 digits, and the tiling file holds a 5000-digit int.
+    big = "1" + "0" * 2500
+    code, out, err = run(capsys, "minlen", "-b", f"{big} 0 0 {big}")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    path = tmp_path / "big.json"
+    path.write_text('{"basis": [[' + "1" * 5000 + ', 0], [0, 1]], "rects": []}')
+    code, out, err = run(capsys, "verify", "-t", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # --- fuzz ---------------------------------------------------------------------
 
 # Deterministic, no example database, and a deadline per example, so the fuzz
@@ -496,11 +510,18 @@ def test_cli_tiling_commands_never_raise(fuzz_file, doc, argv):
 basis_texts = st.lists(rational_texts, min_size=3, max_size=5).map(" ".join) | st.text(
     max_size=12
 )
+# A small basis times 10**k: the skew stays small, so the search stays fast,
+# but from k = 2150 on an output such as the covolume has over 4300 digits.
+scaled_basis_texts = st.builds(
+    lambda entries, k: " ".join(str(q * 10**k) for q in entries),
+    st.lists(small_rationals, min_size=4, max_size=4),
+    st.integers(0, 40) | st.integers(2100, 2600),
+)
 
 
 @FUZZ
 @given(
-    basis=basis_texts,
+    basis=basis_texts | scaled_basis_texts,
     argv=st.sampled_from(
         [
             ["minlen"],

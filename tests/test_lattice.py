@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -19,8 +20,10 @@ from torus_rect_tiler import (
     min_length,
     quadrant_basis,
 )
+from torus_rect_tiler.lattice import box_points
 from conftest import (
     brute_axis_period,
+    brute_box_points,
     brute_quadrant_minima,
     random_int_basis,
     random_positive_rational,
@@ -113,6 +116,54 @@ def test_lattice_points_in_box_matches_ball_filter():
             else:
                 want = [(x, y) for x, y in ball if x_lo <= x <= x_hi and y_lo <= y <= y_hi]
             assert box == sorted(want)
+
+
+def _box_bases(rng, bound):
+    """Three integer bases with entries up to bound, in both determinant signs,
+    with no entry 0 and with each entry 0 in turn.  Skew (a basis vector's l1
+    norm squared over |det|) is at most 4, so brute_box_points' square stays
+    small."""
+    bases = []
+    for zero in (None, 0, 1, 2, 3):
+        found = 0
+        while found < 3:
+            entries = [rng.randint(-bound, bound) for _ in range(4)]
+            if zero is not None:
+                entries[zero] = 0
+            ux, uy, vx, vy = entries
+            det = ux * vy - uy * vx
+            if det and max(abs(ux) + abs(uy), abs(vx) + abs(vy)) ** 2 <= 4 * abs(det):
+                bases += [(ux, uy, vx, vy), (vx, vy, ux, uy)]
+                found += 1
+    return bases
+
+
+def _box_sides(rng, centre, reach):
+    """One side's (lo, hi) for each shape: wide, reversed, zero-width and
+    one-wide, the narrow ones through centre so that they can hold points."""
+    lo = centre - rng.randint(0, 3 * reach)
+    one = centre - rng.randint(0, 1)
+    return [
+        (lo, lo + rng.randint(0, 6 * reach)),
+        (lo, lo - rng.randint(1, reach)),
+        (centre, centre),
+        (one, one + 1),
+    ]
+
+
+def test_box_points_matches_brute_force_scan():
+    rng = random.Random(23)
+    for bound in (6, 2**60):
+        for cleared in _box_bases(rng, bound):
+            ux, uy, vx, vy = cleared
+            reach = max(map(abs, cleared))
+            for _ in range(3):
+                z1, z2 = rng.randint(-2, 2), rng.randint(-2, 2)
+                xs = _box_sides(rng, z1 * ux + z2 * vx, reach)
+                ys = _box_sides(rng, z1 * uy + z2 * vy, reach)
+                for (x_lo, x_hi), (y_lo, y_hi) in itertools.product(xs, ys):
+                    got = sorted(box_points(cleared, x_lo, x_hi, y_lo, y_hi))
+                    assert got == brute_box_points(cleared, x_lo, x_hi, y_lo, y_hi)
 
 
 def test_quadrant_basis_examples():
