@@ -63,6 +63,12 @@ class CliError(Exception):
     """Input problem; reported on stderr with exit code 1."""
 
 
+def _past_digit_limit(exc: ValueError) -> bool:
+    # Python converts no int of over sys.get_int_max_str_digits() digits to or
+    # from text; main reports that on one line of its own.
+    return "integer string conversion" in str(exc)
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on usage errors; this tool reserves 2 for
     # verification failures.
@@ -81,6 +87,8 @@ def _parse_basis(text: str) -> LatticeBasis:
         ux, uy, vx, vy = (parse_rational(p) for p in parts)
         return LatticeBasis(Vec2(ux, uy), Vec2(vx, vy))
     except ValueError as exc:
+        if _past_digit_limit(exc):
+            raise
         raise CliError(str(exc)) from None
 
 
@@ -99,6 +107,8 @@ def _load_tiling(path: str, basis_text) -> Tiling:
     try:
         tiling = tiling_from_json_dict(doc)
     except ValueError as exc:
+        if _past_digit_limit(exc):
+            raise
         raise CliError(f"bad tiling document in {path}: {exc}") from None
     if basis_text is not None and _parse_basis(basis_text) != tiling.basis:
         raise CliError("basis on the command line differs from the tiling file")
@@ -242,6 +252,8 @@ def _cmd_oracle(args) -> int:
     try:
         radius = parse_rational(args.radius)
     except ValueError as exc:
+        if _past_digit_limit(exc):
+            raise
         raise CliError(str(exc)) from None
     if radius < 0:
         raise CliError("radius must be nonnegative")
@@ -360,8 +372,8 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:  # an int past sys.get_int_max_str_digits() digits
-        if "integer string conversion" not in str(exc):
+    except ValueError as exc:
+        if not _past_digit_limit(exc):
             raise
         print("error: a number has too many digits to read or print", file=sys.stderr)
         return EXIT_USAGE

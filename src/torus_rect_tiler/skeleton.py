@@ -9,21 +9,30 @@ Internally a tiling has one integer form (den, cleared, boxes), made by one
 ``clear_denominators`` call: the basis (ux, uy, vx, vy) and each rectangle as
 a box (x0, x1, y0, y1), all integers over den.  Verification, placement,
 canonical points and the reduction's shifts run on it; only emitted values
-become fractions.  Verification scans open difference boxes with
-``lattice.box_points``.  Each line family is read off the integer Hermite
-form {a*(d_x, 0) + b*(shear, g_y)} of the cleared lattice
-(``lattice.axis_form``), so locating a point on its line is one divmod and
-one remainder.  One placement (``_Placement``) maps axis segments (rectangle
-sides or skeleton edges) onto lines cut at the segment endpoints; the
-skeleton's edges, its cycle/path decomposition and the reduction's choice of
-path are all read off those lines' covered arcs and runs.
+become fractions.  Each line family is read off the integer Hermite form
+{a*(d_x, 0) + b*(shear, g_y)} of the cleared lattice (``lattice.axis_form``),
+so locating a point on its line is one divmod and one remainder.  One
+placement (``_Placement``) maps axis segments (rectangle sides or skeleton
+edges) onto lines cut at the segment endpoints; the skeleton's edges, its
+cycle/path decomposition and the reduction's choice of path are all read off
+those lines' covered arcs and runs.
 
-The reduction verifies its input in full and then checks each step exactly
-but incrementally (``_edit_valid``): the previous tiling was valid, so only
-rectangle pairs whose open difference box grew or moved are scanned, and
-coverage is the area sum, which the step must keep.  It also places again
-only the sides of the rectangles a step shifted, and cuts again only the
-lines those sides leave or join.
+Validity is certified by a degree argument (``_certify``).  Let f count the
+rectangles over each torus point.  Crossing a horizontal line upward, f
+gains the bottom sides over the crossing point and loses the top sides over
+it; vertical lines likewise with left and right sides.  So f is constant
+exactly when, on every line, each arc has as many bottom (left) as top
+(right) sides over it, and the area sum, the integral of f, then fixes the
+constant: f = 1 exactly when the areas sum to the covolume.  Placing the n
+rectangles' sides takes O(n log n) for a tiling that passes; only a tiling
+that fails pays the O(n^2) scan of open difference boxes with
+``lattice.box_points`` (``_violations``) that writes its report.  The
+certificate's placement is the one the skeleton and the reduction read.
+
+The reduction certifies its input and then each step incrementally
+(``_recertify``): the previous tiling cancelled on every line, so a step
+needs only to keep the area sum and cancel on the lines its shifted sides
+leave or join, which are the only lines it places and cuts again.
 """
 
 from __future__ import annotations
@@ -129,9 +138,18 @@ def verify_tiling(tiling: Tiling) -> VerificationReport:
     lattice point sits in the open box (-w, w) x (-h, h); two interiors meet
     on the torus iff a lattice point sits in their open difference box; and
     given those, coverage is equivalent to the areas summing to the covolume.
+
+    A valid tiling is recognised by the boundary-cancellation certificate
+    (``_certify``: area sum, no side longer than its line, every arc of every
+    line cancelling) in O(n log n) for n rectangles, with no pair scan; only
+    a tiling it refuses is scanned pair by pair, in O(n^2) box queries, for
+    the report.
     """
-    violations = _violations(*_clear(tiling))
-    return VerificationReport(valid=not violations, violations=tuple(violations))
+    den, cleared, boxes = _clear(tiling)
+    if _certify(cleared, boxes) is not None:
+        return VerificationReport(valid=True, violations=())
+    violations = _refuted(den, cleared, boxes)
+    return VerificationReport(valid=False, violations=tuple(violations))
 
 
 def _violations(den: int, cleared: _Ints, boxes: list[_Ints]) -> list[Violation]:
@@ -174,64 +192,6 @@ def _violations(den: int, cleared: _Ints, boxes: list[_Ints]) -> list[Violation]
 
 def _violation_text(violations: list[Violation]) -> str:
     return "; ".join(f"{v.kind.value}: {v.detail}" for v in violations)
-
-
-def _clear_valid(tiling: Tiling) -> tuple[int, _Ints, list[_Ints]]:
-    # The integer form of a tiling that must verify.
-    form = _clear(tiling)
-    violations = _violations(*form)
-    if violations:
-        raise InvalidTilingError(_violation_text(violations))
-    return form
-
-
-def _edit_valid(
-    cleared: _Ints, boxes: list[_Ints], edits: dict[int, _Ints | None]
-) -> bool:
-    """Whether ``boxes`` with ``edits`` applied (index -> new box, or None to
-    drop the box) still tile the torus, given that ``boxes`` do.
-
-    Exactly when ``_violations`` of the edited boxes is empty.  Coverage is
-    the area sum, so the edits' area changes must cancel.  An open difference
-    box that lies inside the pair's old one cannot gain a lattice point, so a
-    pair is scanned only where an edited box grew or moved relative to its
-    partner.  Against an unedited box that happens exactly when the edited
-    box is not inside its old self.
-    """
-
-    def area(box: _Ints) -> int:
-        x0, x1, y0, y1 = box
-        return (x1 - x0) * (y1 - y0)
-
-    if sum((area(new) if new else 0) - area(boxes[k]) for k, new in edits.items()):
-        return False
-    kept = [k for k, new in edits.items() if new]
-    for i in kept:
-        ox0, ox1, oy0, oy1 = boxes[i]
-        ix0, ix1, iy0, iy1 = edits[i]
-        inside = ox0 <= ix0 and ix1 <= ox1 and oy0 <= iy0 and iy1 <= oy1
-        for j in kept if inside else range(len(boxes)):
-            if j in edits:
-                # An edited pair is met once, from its lower index.
-                if edits[j] is None or j < i:
-                    continue
-                px0, px1, py0, py1 = boxes[j]
-                jx0, jx1, jy0, jy1 = edits[j]
-                if (
-                    jx0 - ix1 >= px0 - ox1
-                    and jx1 - ix0 <= px1 - ox0
-                    and jy0 - iy1 >= py0 - oy1
-                    and jy1 - iy0 <= py1 - oy0
-                ):
-                    continue
-            else:
-                jx0, jx1, jy0, jy1 = boxes[j]
-            hits = box_points(
-                cleared, jx0 - ix1 + 1, jx1 - ix0 - 1, jy0 - iy1 + 1, jy1 - iy0 - 1
-            )
-            if any(i != j or p != (0, 0) for p in hits):
-                return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -401,6 +361,104 @@ def _sides(box: _Ints):
     yield "v", x1, y0, y1 - y0
 
 
+def _area(box: _Ints) -> int:
+    x0, x1, y0, y1 = box
+    return (x1 - x0) * (y1 - y0)
+
+
+def _put_sides(placement: _Placement, box_id: int, box: _Ints) -> None:
+    for side, segment in enumerate(_sides(box)):
+        placement.put((box_id, side), *segment)
+
+
+def _cancels(placement: _Placement, line_ids: Iterable[_LineId]) -> bool:
+    """Whether each arc of these lines has as many bottom (left) sides over
+    it as top (right) sides, with sides keyed (box id, index in ``_sides``)."""
+    for line_id in line_ids:
+        line = placement.lines.get(line_id)
+        if line is None:
+            continue
+        count = [0] * len(line.cuts)
+        for key in placement.on_line[line_id]:
+            sign = -1 if key[1] % 2 else 1  # top and right sides are odd
+            for i in placement.arcs[key]:
+                count[i] += sign
+        if any(count):
+            return False
+    return True
+
+
+def _certify(cleared: _Ints, boxes: list[_Ints]) -> _Placement | None:
+    """The placement of the boxes' sides, keyed (box index, index in
+    ``_sides``), when the boxes tile the torus; None when they do not.
+
+    Exactly when ``_violations`` is empty, by the degree argument of the
+    module docstring.  A side longer than its line's circumference, the
+    period of its family, cannot occur in a tiling (its rectangle would meet
+    its own translate by the period), and is refused before anything is
+    placed: placing it would list one arc per turn around the line.  A
+    tiling that passes costs O(n log n) for n boxes: each arc then lies under
+    at most one bottom and one top side, so the sides cover O(n) arcs.
+    """
+    ux, uy, vx, vy = cleared
+    if sum(map(_area, boxes)) != abs(ux * vy - uy * vx):
+        return None
+    placement = _Placement(cleared)
+    width, height = placement.forms["h"][1], placement.forms["v"][1]
+    if any(x1 - x0 > width or y1 - y0 > height for x0, x1, y0, y1 in boxes):
+        return None
+    for box_id, box in enumerate(boxes):
+        _put_sides(placement, box_id, box)
+    return placement if _cancels(placement, placement.recut()) else None
+
+
+def _recertify(
+    placement: _Placement,
+    ids: list[int],
+    boxes: list[_Ints],
+    edits: dict[int, _Ints | None],
+) -> list[_LineId] | None:
+    """Move the sides of the edited boxes (index -> new box, or None to drop
+    the box) in ``placement``, where box index k has id ``ids[k]``.  Returns
+    the lines cut again, or None when the edited boxes do not tile the torus.
+
+    Exact given that ``boxes`` tile: every line no edit touched still
+    cancels, so the certificate needs only the area change to be 0 and the
+    touched lines to cancel.  A side that wraps its line is counted once per
+    turn, which keeps the count exact; a reduction step grows a box by at
+    most the extent of another, so its sides wrap at most twice.  After None
+    the placement is of no use.
+    """
+    old_area = sum(_area(boxes[k]) for k in edits)
+    if sum(_area(box) for box in edits.values() if box) != old_area:
+        return None
+    for k, box in edits.items():
+        if box:
+            _put_sides(placement, ids[k], box)
+        else:
+            for side in range(4):
+                placement.drop((ids[k], side))
+    touched = placement.recut()
+    return touched if _cancels(placement, touched) else None
+
+
+def _refuted(den: int, cleared: _Ints, boxes: list[_Ints]) -> list[Violation]:
+    # The report on boxes the certificate refused, which must hold a violation.
+    violations = _violations(den, cleared, boxes)
+    if not violations:
+        raise RuntimeError("boundary cancellation refused a tiling that verifies")
+    return violations
+
+
+def _clear_valid(tiling: Tiling) -> tuple[int, _Ints, list[_Ints], _Placement]:
+    # The integer form of a tiling that must verify, and its sides' placement.
+    den, cleared, boxes = _clear(tiling)
+    placement = _certify(cleared, boxes)
+    if placement is None:
+        raise InvalidTilingError(_violation_text(_refuted(den, cleared, boxes)))
+    return den, cleared, boxes, placement
+
+
 def build_skeleton(tiling: Tiling) -> Skeleton:
     """Graph of corner images and subdivided side images on the torus.
 
@@ -408,8 +466,8 @@ def build_skeleton(tiling: Tiling) -> Skeleton:
     coinciding pieces from adjacent rectangles merge into one atomic edge.
     The total edge length equals the tiling length.
     """
-    den, cleared, boxes = _clear_valid(tiling)
-    lines, _ = _place(cleared, (side for box in boxes for side in _sides(box)))
+    den, cleared, _, placement = _clear_valid(tiling)
+    lines = placement.lines
     # Every cut is a corner image, and every corner lies on one H line.
     vertices = set()
     edges = []
@@ -545,34 +603,32 @@ def reduce_tiling_with_trace(
     valid tiling with exactly one maximal path per axis and length at most the
     input's.
 
-    The input is verified in full; each step is then checked exactly but only
-    where it can fail (``_edit_valid``): the area sum must stay the covolume,
-    and a rectangle pair is scanned for a lattice shift only when a moved or
-    grown rectangle's difference box is not inside the pair's old one.  Only
-    the sides of the shifted rectangles are placed again, and only the lines
-    they leave or join are cut again.  A step that fails its check raises
-    with the full verification report; the reduced tiling is verified in full
-    once more.
+    The input is certified by boundary cancellation (``_certify``), in
+    O(n log n) for n rectangles, and the reduction reads the certificate's
+    placement of the sides.  Each step is then certified exactly but only
+    where it can fail (``_recertify``): the area sum must stay the
+    covolume, and the lines the shifted sides leave or join, the only lines
+    placed and cut again, must still cancel arc by arc.  No rectangle pair is
+    scanned unless a check fails: the input's or a step's failure raises
+    with the full O(n^2) verification report.  The reduced tiling is verified
+    pair by pair once more.
 
     Raises CycleExistsError when the input has an axis cycle, and also when a
     step creates one (the message then names the step), since the shift
     applies only to maximal paths.
     """
-    den, cleared, boxes = _clear_valid(tiling)
+    den, cleared, boxes, placement = _clear_valid(tiling)
     length = sum(map(_half_perimeter, boxes))
     # Sides are keyed by (box id, side index); a box keeps its id while the
     # indices of the boxes after an eliminated one drop.
     ids = list(range(len(boxes)))
-    placement = _Placement(cleared)
-    for box_id, box in enumerate(boxes):
-        for side, segment in enumerate(_sides(box)):
-            placement.put((box_id, side), *segment)
     runs: dict[_LineId, list[list[int]]] = {}
     run_count = {"h": 0, "v": 0}
     steps: list[ReductionStep] = []
+    touched = sorted(placement.lines)
     for _ in range(len(boxes) + 2):
         # Only a line a step touched can have closed into a cycle.
-        for line_id in placement.recut():
+        for line_id in touched:
             run_count[line_id[0]] -= len(runs.pop(line_id, ()))
             line = placement.lines.get(line_id)
             if line is None:
@@ -639,8 +695,9 @@ def reduce_tiling_with_trace(
         if not eliminated:
             raise ReductionStepInvalidError("shift eliminated no rectangle")
         new_boxes = [edits.get(i, box) for i, box in enumerate(boxes)]
-        if not _edit_valid(cleared, boxes, edits):
-            violations = _violations(den, cleared, [b for b in new_boxes if b])
+        touched = _recertify(placement, ids, boxes, edits)
+        if touched is None:
+            violations = _refuted(den, cleared, [b for b in new_boxes if b])
             raise ReductionStepInvalidError(
                 "rebuilt tiling is invalid: " + _violation_text(violations)
             )
@@ -665,13 +722,6 @@ def reduce_tiling_with_trace(
                 length_after=Fraction(new_length, den),
             )
         )
-        for idx, box in edits.items():
-            if box:
-                for side, segment in enumerate(_sides(box)):
-                    placement.put((ids[idx], side), *segment)
-            else:
-                for side in range(4):
-                    placement.drop((ids[idx], side))
         ids = [box_id for box_id, box in zip(ids, new_boxes) if box]
         boxes = [box for box in new_boxes if box]
         length = new_length

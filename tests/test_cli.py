@@ -432,6 +432,20 @@ def test_numbers_past_the_int_digit_limit_are_an_error_line(capsys, tmp_path):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_a_literal_past_the_int_digit_limit_reads_as_too_many_digits(capsys, tmp_path):
+    # The basis, the radius and a rational string in a tiling file are each
+    # parsed by parse_rational, whose ValueError text would advise
+    # sys.set_int_max_str_digits().
+    ones = "1" * 5000
+    expected = (1, "", "error: a number has too many digits to read or print\n")
+    assert run(capsys, "minlen", "-b", f"{ones} 0 0 1") == expected
+    assert run(capsys, "oracle", "-b", "1 0 0 1", "--radius", ones) == expected
+    path = tmp_path / "big.json"
+    path.write_text('{"basis": [["' + ones + '", "0"], ["0", "1"]], '
+                    '"rects": [["0", "1", "0", "1"]]}')
+    assert run(capsys, "verify", "-t", str(path)) == expected
+
+
 # --- fuzz ---------------------------------------------------------------------
 
 # Deterministic, no example database, and a deadline per example, so the fuzz

@@ -39,9 +39,10 @@ from torus_rect_tiler import skeleton
 from torus_rect_tiler.skeleton import (
     InvalidTilingError,
     Skeleton,
+    _certify,
     _clear,
-    _edit_valid,
     _place,
+    _recertify,
     _violations,
 )
 from conftest import (
@@ -170,6 +171,57 @@ def test_verify_memory_does_not_grow_with_the_injectivity_box():
     assert kinds(report) == {ViolationKind.INJECTIVITY, ViolationKind.COVERAGE}
     assert "lattice point (-119, -119)" in report.violations[0].detail
     assert peak < 1_000_000
+
+
+def test_certificate_agrees_with_full_verification_on_edge_cases():
+    covolume_23 = SKEWED_23.covolume
+    cases = [
+        # A side of exactly one circumference, on both axes.
+        Tiling(UNIT, (Rect(0, 1, 0, 1),)),
+        build_one_rect(SKEWED_23, Axis.X),
+        # Three circumferences wide, with the areas summing to the covolume.
+        Tiling(UNIT, (Rect(0, 3, 0, Fraction(1, 3)),)),
+        # Shorter than both circumferences (23), area 23, but (3, 5) lies in
+        # the injectivity box (-4, 4) x (-23/4, 23/4).
+        Tiling(SKEWED_23, (Rect(0, 4, 0, covolume_23 / 4),)),
+        # Every line cancels, but each point is covered twice.
+        Tiling(SKEWED_23, build_optimal(SKEWED_23).rects * 2),
+        Tiling(UNIT, (Rect(0, 1, 0, 1),) * 2),
+    ]
+    verdicts = []
+    for t in cases:
+        den, cleared, boxes = _clear(t)
+        certified = _certify(cleared, boxes) is not None
+        assert certified == (not _violations(den, cleared, boxes)), t
+        assert certified == verify_tiling(t).valid
+        verdicts.append(certified)
+    assert verdicts == [True, True, False, False, False, False]
+
+
+def test_certificate_refuses_a_side_that_wraps_its_line_before_placing(monkeypatch):
+    # Area 1 over Z^2, but 20000 circumferences wide: placing the bottom
+    # side would list one arc per turn around its line, about 500 kB here.
+    n = 20_000
+    t = Tiling(UNIT, (Rect(0, n, 0, Fraction(1, n)),))
+    puts = 0
+    put = skeleton._Placement.put
+
+    def counting(self, *args):
+        nonlocal puts
+        puts += 1
+        return put(self, *args)
+
+    monkeypatch.setattr(skeleton._Placement, "put", counting)
+    tracemalloc.start()
+    try:
+        report = verify_tiling(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert puts == 0
+    assert kinds(report) == {ViolationKind.INJECTIVITY}
+    assert "lattice point (-19999, 0)" in report.violations[0].detail
+    assert peak < 100_000
 
 
 def test_verify_flags_duplicate_rectangle_as_overlap():
@@ -587,7 +639,12 @@ def test_step_check_agrees_with_full_verification():
             edited = [edits.get(k, box) for k, box in enumerate(boxes)]
             edited = [box for box in edited if box]
             full = _violations(den, cleared, edited)
-            assert _edit_valid(cleared, boxes, edits) == (not full), (edits, full)
+            assert (_certify(cleared, edited) is not None) == (not full), (edits, full)
+            # The reduction's incremental form, from the unedited placement.
+            placement = _certify(cleared, boxes)
+            assert placement is not None
+            step = _recertify(placement, list(range(len(boxes))), boxes, edits)
+            assert (step is not None) == (not full), (edits, full)
             valid += not full
             balanced_invalid += bool(full) and all(
                 v.kind is not ViolationKind.COVERAGE for v in full
@@ -630,6 +687,28 @@ def test_reduction_scans_only_pairs_a_step_can_change(monkeypatch, count, full_r
     reduced, steps = reduce_tiling_with_trace(t)
     assert calls < full_recheck / 3
     assert replay_reduction(t, steps) == reduced
+
+
+@pytest.mark.parametrize("count", [32, 64])
+def test_valid_tilings_are_certified_without_a_pair_scan(monkeypatch, count):
+    t = cycle_free_split_tiling(count, count)
+    calls = 0
+    box_points = skeleton.box_points
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return box_points(*args)
+
+    monkeypatch.setattr(skeleton, "box_points", counting)
+    assert verify_tiling(t).valid
+    build_skeleton(t)
+    assert calls == 0
+    reduced, _ = reduce_tiling_with_trace(t)
+    # Only the reduced tiling is scanned: one query per pair of its
+    # rectangles, each rectangle with itself included.
+    n = len(reduced.rects)
+    assert n <= 2 and calls == n * (n + 1) // 2
 
 
 def test_lower_bound_with_equality_only_unsplit():
