@@ -1,7 +1,8 @@
 """Exact rational scalars and planar vectors under the l1 norm.
 
 Every quantity in this package (coordinates, lengths, areas) is a
-``fractions.Fraction``, so all comparisons and equalities are decided exactly.
+``fractions.Fraction``, so all comparisons and equalities are decided exactly;
+its ``str``, "n" or "n/d" with d > 0, is the text form ``parse_rational`` reads.
 """
 
 from __future__ import annotations
@@ -13,10 +14,6 @@ from enum import Enum
 from fractions import Fraction
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
-
-
-class BothZeroError(ValueError):
-    """gcd(0, 0) is undefined."""
 
 
 def parse_rational(text: str) -> Fraction:
@@ -34,11 +31,6 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(s)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator: {text!r}") from None
-
-
-def format_rational(value: Fraction) -> str:
-    """Canonical text form, "n" or "n/d" with d > 0."""
-    return str(value)
 
 
 @dataclass(frozen=True)
@@ -109,16 +101,3 @@ def clear_denominators(*values) -> tuple[int, tuple[int, ...]]:
     """
     den = math.lcm(*(x.denominator for x in values))
     return den, tuple(x.numerator * (den // x.denominator) for x in values)
-
-
-def rat_gcd(a, b) -> Fraction:
-    """Largest positive rational g with a and b both integer multiples of g.
-
-    rat_gcd(a, 0) = |a|.  With a and b cleared to integers m and n over their
-    least common denominator den, the result is gcd(m, n) / den.
-    """
-    a, b = Fraction(a), Fraction(b)
-    if a == 0 and b == 0:
-        raise BothZeroError("gcd(0, 0) is undefined")
-    den, (m, n) = clear_denominators(a, b)
-    return Fraction(math.gcd(m, n), den)

@@ -20,7 +20,14 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .exact_math import Quadrant, Vec2, clear_denominators, l1_norm, quadrant_of
+from .exact_math import (
+    Quadrant,
+    Vec2,
+    clear_denominators,
+    l1_norm,
+    quadrant_of,
+    quadrant_representative,
+)
 
 
 class SingularBasisError(ValueError):
@@ -49,12 +56,8 @@ class LatticeBasis:
 
     @property
     def covolume(self) -> Fraction:
+        """Area of the fundamental parallelogram (always positive)."""
         return abs(self.det)
-
-
-def covolume(basis: LatticeBasis) -> Fraction:
-    """Area of the fundamental parallelogram (always positive)."""
-    return basis.covolume
 
 
 def basis_coordinates(basis: LatticeBasis, point: Vec2) -> tuple[Fraction, Fraction]:
@@ -183,7 +186,8 @@ class QuadrantBasis:
 
     u1 minimizes the l1 norm over nonzero points with x*y >= 0 and carries
     x > 0, or x = 0 with y > 0.  u2 minimizes over points with x*y < 0 and
-    carries x < 0 < y.  The pair always generates the full lattice.
+    carries x < 0 < y.  The pair always generates the full lattice.  Lying
+    in different sign classes, u1 and u2 are never collinear.
     """
 
     u1: Vec2
@@ -192,12 +196,12 @@ class QuadrantBasis:
     def __post_init__(self):
         if self.u1.is_zero() or quadrant_of(self.u1) is not Quadrant.Q1:
             raise ValueError(f"u1 must be a nonzero same-sign vector, got {self.u1}")
-        if self.u1.x < 0 or (self.u1.x == 0 and self.u1.y <= 0):
+        if quadrant_representative(self.u1) != self.u1:
             raise ValueError(f"u1 not in canonical orientation: {self.u1}")
-        if not (self.u2.x < 0 < self.u2.y):
+        if quadrant_of(self.u2) is not Quadrant.Q2 or (
+            quadrant_representative(self.u2) != self.u2
+        ):
             raise ValueError(f"u2 must satisfy x < 0 < y, got {self.u2}")
-        if self.u1.x * self.u2.y - self.u1.y * self.u2.x == 0:
-            raise ValueError("quadrant basis vectors are collinear")
 
     @property
     def length_sum(self) -> Fraction:

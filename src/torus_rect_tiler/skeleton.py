@@ -339,19 +339,6 @@ class _Placement:
         return touched
 
 
-def _place(
-    cleared: _Ints, segments: Iterable[tuple[str, int, int, int]]
-) -> tuple[dict[_LineId, _Line], list[tuple[_LineId, tuple[int, ...]]]]:
-    """Place axis segments (orientation, x, y, length) all at once: the lines
-    and, per segment in input order, its line and the arcs it covers."""
-    placement = _Placement(cleared)
-    for k, segment in enumerate(segments):
-        placement.put(k, *segment)
-    placement.recut()
-    keys = range(len(placement.line_of))
-    return placement.lines, [(placement.line_of[k], placement.arcs[k]) for k in keys]
-
-
 def _sides(box: _Ints):
     # Bottom, top, left and right side of a box, as segments.
     x0, x1, y0, y1 = box
@@ -506,25 +493,33 @@ def decompose_axis_paths(skeleton: Skeleton) -> AxisPathDecomposition:
     A line whose covered arcs close the full circle is a cycle (its length is
     then the axis period); otherwise each maximal run of consecutive arcs is
     one maximal path.  Raises ValueError when an edge is not exactly one arc
-    of its line, or two edges cover the same arc (a hand-built skeleton).
+    of its line, or two edges cover the same arc (a hand-built skeleton).  An
+    edge longer than its line's circumference is refused before it is placed,
+    which would list one arc per turn around the line.
     """
     edges = skeleton.edges
     _, ints = clear_denominators(
         *skeleton.basis.entries,
         *(c for e in edges for c in (e.origin.rep.x, e.origin.rep.y, e.length)),
     )
-    segments = (
-        (e.orientation.value, *ints[4 + 3 * k : 7 + 3 * k]) for k, e in enumerate(edges)
-    )
-    lines, placed = _place(ints[:4], segments)
+    placement = _Placement(ints[:4])
+    for k, edge in enumerate(edges):
+        orientation = edge.orientation.value
+        x, y, length = ints[4 + 3 * k : 7 + 3 * k]
+        if length > placement.forms[orientation][1]:
+            raise ValueError(f"skeleton edge {edge} is not one arc of its line")
+        placement.put(k, orientation, x, y, length)
+    placement.recut()
     edge_at: dict[tuple[_LineId, int], SkeletonEdge] = {}
-    for edge, (line_id, arcs) in zip(edges, placed):
+    for k, edge in enumerate(edges):
+        line_id, arcs = placement.line_of[k], placement.arcs[k]
         if len(arcs) != 1 or (line_id, arcs[0]) in edge_at:
             raise ValueError(f"skeleton edge {edge} is not one arc of its line")
         edge_at[line_id, arcs[0]] = edge
 
     cycles = {"h": [], "v": []}
     paths = {"h": [], "v": []}
+    lines = placement.lines
     for line_id in sorted(lines):
         line = lines[line_id]
         found = cycles if all(line.covered) else paths
@@ -575,16 +570,6 @@ class ReductionStep:
             "length_before": str(self.length_before),
             "length_after": str(self.length_after),
         }
-
-
-def reduce_tiling(tiling: Tiling) -> Tiling:
-    """Shrink a cycle-free tiling until each axis has one maximal path.
-
-    Raises CycleExistsError when the input has an axis cycle, and also when a
-    reduction step creates one.
-    """
-    reduced, _ = reduce_tiling_with_trace(tiling)
-    return reduced
 
 
 def _half_perimeter(box: _Ints) -> int:

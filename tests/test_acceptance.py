@@ -20,7 +20,6 @@ from torus_rect_tiler import (
     build_optimal,
     build_skeleton,
     build_two_rect,
-    covolume,
     decompose_axis_paths,
     l1_norm,
     lattice_point,
@@ -70,7 +69,7 @@ def bases_for_oracle_suite():
 
 def test_criterion_1_skewed_23_worked_case(capfd):
     with criterion(capfd, 1, "covolume-23 worked case", 1.0):
-        assert covolume(SKEWED_23) == 23
+        assert SKEWED_23.covolume == 23
         per = axis_periods(SKEWED_23)
         assert per.m_x == 24 and per.m_y == 24
         rep = min_length(SKEWED_23)
@@ -218,7 +217,7 @@ def test_criterion_7_divisibility_100_bases(capfd):
         for _ in range(100):
             basis = random_int_basis(rng, bound=20)
             per = axis_periods(basis)
-            g_y = covolume(basis) / per.d_x
+            g_y = basis.covolume / per.d_x
             for _ in range(50):
                 w = lattice_point(
                     basis, rng.randint(-10, 10), rng.randint(-10, 10)

@@ -4,16 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from torus_rect_tiler import (
-    BothZeroError,
-    Quadrant,
-    Vec2,
-    format_rational,
-    l1_norm,
-    parse_rational,
-    quadrant_of,
-    rat_gcd,
-)
+from torus_rect_tiler import Quadrant, Vec2, l1_norm, parse_rational, quadrant_of
 from torus_rect_tiler.exact_math import clear_denominators, quadrant_representative
 from conftest import random_rational
 
@@ -32,17 +23,11 @@ def test_parse_rational_rejects_everything_else(bad):
         parse_rational(bad)
 
 
-def test_format_rational_is_canonical():
-    assert format_rational(Fraction(6, 2)) == "3"
-    assert format_rational(Fraction(-7, 2)) == "-7/2"
-    assert format_rational(Fraction(0)) == "0"
-
-
 def test_parse_format_round_trip():
     rng = random.Random(1)
     for _ in range(200):
         x = random_rational(rng, bound=500, max_den=500)
-        assert parse_rational(format_rational(x)) == x
+        assert parse_rational(str(x)) == x
 
 
 def test_l1_norm_examples():
@@ -87,47 +72,6 @@ def test_clear_denominators_gives_least_common_denominator():
         # minimal: a common factor k > 1 of den and every ints[i] would
         # let den / k clear every value too
         assert math.gcd(den, *ints) == 1
-
-
-def test_rat_gcd_examples():
-    assert rat_gcd(Fraction(5), Fraction(1)) == 1
-    assert rat_gcd(Fraction(0), Fraction(3, 2)) == Fraction(3, 2)
-    g = rat_gcd(Fraction(2, 3), Fraction(10, 9))
-    assert g == Fraction(2, 9)
-    assert (Fraction(2, 3) / g).denominator == 1
-    assert (Fraction(10, 9) / g).denominator == 1
-
-
-def test_rat_gcd_both_zero_raises():
-    with pytest.raises(BothZeroError):
-        rat_gcd(Fraction(0), Fraction(0))
-
-
-def test_rat_gcd_divides_both_arguments():
-    rng = random.Random(2)
-    for _ in range(1000):
-        a = random_rational(rng, bound=60, max_den=12)
-        b = random_rational(rng, bound=60, max_den=12)
-        if a == 0 and b == 0:
-            continue
-        g = rat_gcd(a, b)
-        assert g > 0
-        assert (a / g).denominator == 1
-        assert (b / g).denominator == 1
-
-
-def test_rat_gcd_symmetry_and_scaling():
-    rng = random.Random(3)
-    for _ in range(400):
-        a = random_rational(rng)
-        b = random_rational(rng)
-        if a == 0 and b == 0:
-            continue
-        assert rat_gcd(a, b) == rat_gcd(b, a)
-        k = random_rational(rng)
-        if k == 0:
-            continue
-        assert rat_gcd(k * a, k * b) == abs(k) * rat_gcd(a, b)
 
 
 def test_l1_norm_triangle_and_homogeneity():

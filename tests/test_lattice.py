@@ -6,13 +6,13 @@ import pytest
 
 from torus_rect_tiler import (
     LatticeBasis,
+    QuadrantBasis,
     SingularBasisError,
     Vec2,
     Winner,
     axis_periods,
     basis_coordinates,
     contains,
-    covolume,
     enumerate_lattice_points,
     l1_norm,
     lattice_point,
@@ -38,9 +38,9 @@ UNIT = LatticeBasis(Vec2(1, 0), Vec2(0, 1))
 
 
 def test_covolume_examples():
-    assert covolume(SKEWED_23) == 23
-    assert covolume(UNIT) == 1
-    assert covolume(SKEWED_14) == 14
+    assert SKEWED_23.covolume == 23
+    assert UNIT.covolume == 1
+    assert SKEWED_14.covolume == 14
 
 
 def test_singular_basis_rejected():
@@ -189,9 +189,27 @@ def test_quadrant_basis_certificate_and_canonical_signs():
         assert u1.x > 0 or (u1.x == 0 and u1.y > 0)
         assert u1.x * u1.y >= 0
         assert u2.x < 0 < u2.y
-        assert abs(u1.x * u2.y - u1.y * u2.x) == covolume(basis)
+        assert abs(u1.x * u2.y - u1.y * u2.x) == basis.covolume
         assert contains(basis, u1) and contains(basis, u2)
 
+
+
+@pytest.mark.parametrize(
+    "u1, u2, text",
+    [
+        ((0, 0), (-1, 1), "u1 must be a nonzero same-sign vector"),
+        ((1, -1), (-1, 1), "u1 must be a nonzero same-sign vector"),
+        ((-1, -1), (-1, 1), "u1 not in canonical orientation"),
+        ((0, -1), (-1, 1), "u1 not in canonical orientation"),
+        ((1, 0), (1, -1), "u2 must satisfy x < 0 < y"),
+        ((1, 0), (0, 1), "u2 must satisfy x < 0 < y"),
+        ((1, 1), (-1, 0), "u2 must satisfy x < 0 < y"),
+    ],
+)
+def test_quadrant_basis_rejects_a_pair_out_of_canonical_form(u1, u2, text):
+    with pytest.raises(ValueError, match=text):
+        QuadrantBasis(Vec2(*u1), Vec2(*u2))
+    QuadrantBasis(Vec2(0, 2), Vec2(-1, 1))  # u1 on the y axis is canonical
 
 def test_quadrant_basis_matches_brute_force():
     rng = random.Random(13)
@@ -223,8 +241,8 @@ def test_axis_periods_match_membership_scan():
         assert per.d_y == brute_axis_period(basis, "y")
         assert contains(basis, Vec2(per.d_x, 0))
         assert contains(basis, Vec2(0, per.d_y))
-        assert per.m_x == per.d_x + covolume(basis) / per.d_x
-        assert per.m_y == per.d_y + covolume(basis) / per.d_y
+        assert per.m_x == per.d_x + basis.covolume / per.d_x
+        assert per.m_y == per.d_y + basis.covolume / per.d_y
 
 
 def test_min_length_examples():
@@ -325,7 +343,7 @@ def test_divisibility_of_y_coordinates():
     for _ in range(40):
         basis = random_int_basis(rng)
         per = axis_periods(basis)
-        g_y = covolume(basis) / per.d_x
+        g_y = basis.covolume / per.d_x
         for _ in range(20):
             w = lattice_point(basis, rng.randint(-10, 10), rng.randint(-10, 10))
             assert (w.y / g_y).denominator == 1

@@ -1,4 +1,6 @@
+import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -27,21 +29,20 @@ from torus_rect_tiler import (
     lattice_point,
     min_length,
     quadrant_basis,
-    reduce_tiling,
     reduce_tiling_with_trace,
     tiling_from_json_dict,
     tiling_length,
     verify_tiling,
 )
-from torus_rect_tiler.exact_math import clear_denominators, rat_gcd
+from torus_rect_tiler.exact_math import clear_denominators
 from torus_rect_tiler.lattice import axis_form
 from torus_rect_tiler import skeleton
 from torus_rect_tiler.skeleton import (
     InvalidTilingError,
     Skeleton,
+    _Placement,
     _certify,
     _clear,
-    _place,
     _recertify,
     _violations,
 )
@@ -124,8 +125,8 @@ def test_axis_form_matches_axis_periods_and_locate_is_lattice_invariant(kind):
         det = abs(ux * vy - uy * vx)
         h = axis_form(ux, vx, uy, vy)
         v = axis_form(uy, vy, ux, vx)
-        assert h[0] == rat_gcd(basis.u.y, basis.v.y) * den and h[0] * h[1] == det
-        assert v[0] == rat_gcd(basis.u.x, basis.v.x) * den and v[0] * v[1] == det
+        assert h[0] == math.gcd(uy, vy) and h[0] * h[1] == det
+        assert v[0] == math.gcd(ux, vx) and v[0] * v[1] == det
         assert Fraction(h[1], den) == per.d_x and Fraction(v[1], den) == per.d_y
         assert 0 <= h[2] < h[1] and 0 <= v[2] < v[1]
         for _ in range(5):
@@ -137,13 +138,14 @@ def test_axis_form_matches_axis_periods_and_locate_is_lattice_invariant(kind):
             )
             for orientation, d in ((Orientation.H, per.d_x), (Orientation.V, per.d_y)):
                 h_line = orientation is Orientation.H
-                lines, placed = _place(
-                    cleared,
-                    [(orientation.value, px, py, length_int), (orientation.value, qx, qy, length_int)],
-                )
+                placement = _Placement(cleared)
+                placement.put(0, orientation.value, px, py, length_int)
+                placement.put(1, orientation.value, qx, qy, length_int)
+                placement.recut()
+                placed = [(placement.line_of[k], placement.arcs[k]) for k in (0, 1)]
                 assert placed[0] == placed[1]
                 line_id, arcs = placed[0]
-                line = lines[line_id]
+                line = placement.lines[line_id]
                 key = Fraction(line_id[1], place_den)
                 coord = Fraction(line.cuts[arcs[0]], place_den)
                 assert 0 <= key < basis.covolume / d and 0 <= coord < d
@@ -378,6 +380,22 @@ def test_decompose_rejects_an_edge_spanning_several_arcs():
         decompose_axis_paths(Skeleton(UNIT, (whole.origin, half.origin), (whole, half)))
 
 
+def test_decompose_refuses_an_edge_that_wraps_its_line_before_placing():
+    # 10^6 circumferences long: placing it would list one arc per turn.
+    edge = SkeletonEdge(canonicalize(UNIT, Vec2(0, 0)), Orientation.H, Fraction(10**6))
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(ValueError, match="is not one arc of its line"):
+            decompose_axis_paths(Skeleton(UNIT, (edge.origin,), (edge,)))
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.1
+    assert peak < 100_000
+
+
 def test_decomposition_agrees_with_endpoint_chaining_oracle():
     rng = random.Random(50)
     cycle_free = with_cycles = 0
@@ -432,7 +450,7 @@ def test_cycle_dichotomy_cycle_lengths_equal_axis_periods():
                 assert dec.cycles_v
 
 
-# --- reduce_tiling -----------------------------------------------------------
+# --- reduce_tiling_with_trace ------------------------------------------------
 
 
 def split_tiling_17() -> Tiling:
@@ -479,14 +497,14 @@ def test_reduce_keeps_already_reduced_tiling():
 
 def test_reduce_tiling_returns_the_traced_result():
     t = split_tiling_17()
-    assert reduce_tiling(t) == reduce_tiling_with_trace(t)[0] == build_optimal(SKEWED_23)
+    assert reduce_tiling_with_trace(t)[0] == build_optimal(SKEWED_23)
 
 
 def test_reduce_rejects_axis_cycles():
     with pytest.raises(CycleExistsError):
-        reduce_tiling(build_one_rect(SKEWED_23, Axis.X))
+        reduce_tiling_with_trace(build_one_rect(SKEWED_23, Axis.X))
     with pytest.raises(CycleExistsError):
-        reduce_tiling(Tiling(UNIT, (Rect(0, 1, 0, 1),)))
+        reduce_tiling_with_trace(Tiling(UNIT, (Rect(0, 1, 0, 1),)))
 
 
 def test_reduce_names_the_step_that_creates_an_axis_cycle():
@@ -512,7 +530,7 @@ def test_reduce_names_the_step_that_creates_an_axis_cycle():
 
 def test_reduce_rejects_invalid_tiling():
     with pytest.raises(InvalidTilingError):
-        reduce_tiling(Tiling(UNIT, (Rect(0, 2, 0, 1),)))
+        reduce_tiling_with_trace(Tiling(UNIT, (Rect(0, 2, 0, 1),)))
 
 
 def test_reduce_monotone_on_random_split_tilings():

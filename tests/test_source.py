@@ -1,9 +1,14 @@
-"""Rules that hold across the whole source tree."""
+"""Rules that hold across the whole source tree and the README's example."""
 
 import ast
+import re
+from fractions import Fraction
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+import torus_rect_tiler
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 def _raises_assertion_error(node: ast.AST) -> bool:
@@ -51,3 +56,21 @@ def test_source_has_no_float():
         if _is_float(node)
     ]
     assert found == []
+
+
+def test_readme_library_example_runs():
+    # The README's python block runs as written, and each "expr  # value"
+    # line in it holds: both sides are evaluated in the package namespace.
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, re.M | re.S)
+    assert blocks
+    checked = 0
+    for block in blocks:
+        namespace = {"Fraction": Fraction, **vars(torus_rect_tiler)}
+        exec(compile(block, "README.md", "exec"), namespace)
+        for line in block.splitlines():
+            if match := re.fullmatch(r"(\S.*?)\s{2,}# (.+)", line):
+                expr, value = match.groups()
+                assert eval(expr, namespace) == eval(value, namespace), line
+                checked += 1
+    assert checked

@@ -15,7 +15,6 @@ from torus_rect_tiler import (
     build_one_rect,
     build_optimal,
     build_two_rect,
-    covolume,
     lattice_points_in_box,
     min_length,
     quadrant_basis,
@@ -96,7 +95,7 @@ def test_build_two_rect_examples():
     t = build_two_rect(basis, QuadrantBasis(Vec2(1, 1), Vec2(-1, 1)))
     assert [rect_tuple(r) for r in t.rects] == [(-1, 0, 0, 1), (0, 1, 0, 1)]
     assert tiling_length(t) == 4
-    assert sum(r.area for r in t.rects) == covolume(basis)
+    assert sum(r.area for r in t.rects) == basis.covolume
     assert verify_tiling(t).valid
 
 
@@ -128,7 +127,7 @@ def test_build_optimal_properties_on_random_bases():
         t = build_optimal(basis, rep)
         assert verify_tiling(t).valid
         assert tiling_length(t) == rep.min_length
-        assert sum(r.area for r in t.rects) == covolume(basis)
+        assert sum(r.area for r in t.rects) == basis.covolume
         if rep.winner is Winner.TWO_RECT:
             assert len(t.rects) == 2
             assert tiling_length(t) == rep.witness.length_sum
