@@ -158,17 +158,14 @@ def _cmd_minlen(args) -> int:
 
 def _cmd_build(args) -> int:
     basis = _parse_basis(args.basis)
-    try:
-        if args.force == "one-rect-x":
-            tiling = build_one_rect(basis, Axis.X)
-        elif args.force == "one-rect-y":
-            tiling = build_one_rect(basis, Axis.Y)
-        elif args.force == "two-rect":
-            tiling = build_two_rect(basis, _sign_pair_from_basis(basis))
-        else:
-            tiling = build_optimal(basis)
-    except AxisAlignedGeneratorError as exc:
-        raise CliError(str(exc)) from None
+    if args.force == "one-rect-x":
+        tiling = build_one_rect(basis, Axis.X)
+    elif args.force == "one-rect-y":
+        tiling = build_one_rect(basis, Axis.Y)
+    elif args.force == "two-rect":
+        tiling = build_two_rect(basis, _sign_pair_from_basis(basis))
+    else:
+        tiling = build_optimal(basis)
     _emit_json(tiling_to_json_dict(tiling), args.output)
     return EXIT_OK
 
@@ -182,11 +179,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_skeleton(args) -> int:
     tiling = _load_tiling(args.tiling, args.basis)
-    try:
-        skeleton = build_skeleton(tiling)
-    except InvalidTilingError as exc:
-        print(f"invalid tiling: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    skeleton = build_skeleton(tiling)
     decomposition = decompose_axis_paths(skeleton)
     doc = {
         "vertices": [[str(w.rep.x), str(w.rep.y)] for w in skeleton.vertices],
@@ -210,15 +203,7 @@ def _cmd_skeleton(args) -> int:
 
 def _cmd_reduce(args) -> int:
     tiling = _load_tiling(args.tiling, args.basis)
-    try:
-        reduced, steps = reduce_tiling_with_trace(tiling)
-    except CycleExistsError as exc:
-        raise CliError(str(exc)) from None
-    except InvalidTilingError as exc:
-        print(f"invalid tiling: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except ReductionStepInvalidError as exc:
-        raise CliError(f"reduction failed: {exc}") from None
+    reduced, steps = reduce_tiling_with_trace(tiling)
     doc = {
         "tiling": tiling_to_json_dict(reduced),
         "length": str(tiling_length(reduced)),
@@ -369,8 +354,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except CliError as exc:
+    except InvalidTilingError as exc:
+        print(f"invalid tiling: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except (CliError, CycleExistsError, AxisAlignedGeneratorError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except ReductionStepInvalidError as exc:
+        print(f"error: reduction failed: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:
         if not _past_digit_limit(exc):

@@ -218,13 +218,15 @@ def quadrant_basis(basis: LatticeBasis) -> QuadrantBasis:
     the smaller |y| (the flattest one).
     """
     den, (ux, uy, vx, vy) = clear_denominators(*basis.entries)
-    inv = _inverse_l1_norm(basis)
+    # On the cleared basis the inverse-norm bound of ``_inverse_l1_norm`` times
+    # a norm W is m*W/det, so shell n lies past it exactly when n*det > m*W.
+    m = max(abs(vy) + abs(uy), abs(vx) + abs(ux))
+    det = abs(ux * vy - uy * vx)
     best1: Optional[tuple[int, int, int]] = None  # (norm, y, x) scaled
     best2: Optional[tuple[int, int, int]] = None
     for n in itertools.count():
         if best1 is not None and best2 is not None:
-            worst = Fraction(max(best1[0], best2[0]), den)
-            if n >= math.floor(inv * worst) + 1:
+            if n * det > m * max(best1[0], best2[0]):
                 break
         # The shell |z1| + |z2| = n.
         for z1 in range(-n, n + 1):

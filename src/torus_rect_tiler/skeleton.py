@@ -23,21 +23,26 @@ gains the bottom sides over the crossing point and loses the top sides over
 it; vertical lines likewise with left and right sides.  So f is constant
 exactly when, on every line, each arc has as many bottom (left) as top
 (right) sides over it, and the area sum, the integral of f, then fixes the
-constant: f = 1 exactly when the areas sum to the covolume.  Placing the n
-rectangles' sides takes O(n log n) for a tiling that passes; only a tiling
-that fails pays the O(n^2) scan of open difference boxes with
-``lattice.box_points`` (``_violations``) that writes its report.  The
-certificate's placement is the one the skeleton and the reduction read.
+constant: f = 1 exactly when the areas sum to the covolume.  A side longer
+than its line's circumference, the period of its family, cannot occur in a
+tiling (its rectangle would meet its own translate by the period); it is
+refused before anything is placed, as placing it would list one arc per turn
+around the line.
 
-The reduction certifies its input and then each step incrementally
-(``_recertify``): the previous tiling cancelled on every line, so a step
-needs only to keep the area sum and cancel on the lines its shifted sides
-leave or join, which are the only lines it places and cuts again.
+The certificate is incremental: it applies box edits to a placement that
+held a tiling or nothing, and places and cuts again only the lines the
+edited sides leave or join.  Every other line still cancels, so the edited
+boxes tile exactly when their areas sum to the covolume and those lines
+cancel.  A whole tiling of n rectangles is certified as edits to an empty
+placement in O(n log n): each arc then lies under at most one bottom and one
+top side, so the sides cover O(n) arcs.  Only boxes the certificate refuses
+pay the O(n^2) scan of open difference boxes with ``lattice.box_points``
+(``_violations``) that writes the report.  The certificate's placement is
+the one the skeleton and the reduction read.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -139,14 +144,12 @@ def verify_tiling(tiling: Tiling) -> VerificationReport:
     on the torus iff a lattice point sits in their open difference box; and
     given those, coverage is equivalent to the areas summing to the covolume.
 
-    A valid tiling is recognised by the boundary-cancellation certificate
-    (``_certify``: area sum, no side longer than its line, every arc of every
-    line cancelling) in O(n log n) for n rectangles, with no pair scan; only
-    a tiling it refuses is scanned pair by pair, in O(n^2) box queries, for
-    the report.
+    A valid tiling is recognised by the boundary-cancellation certificate of
+    the module docstring (``_certify``) with no pair scan; only a tiling it
+    refuses is scanned pair by pair, in O(n^2) box queries, for the report.
     """
     den, cleared, boxes = _clear(tiling)
-    if _certify(cleared, boxes) is not None:
+    if _certify(_Placement(cleared), {}, dict(enumerate(boxes))) is not None:
         return VerificationReport(valid=True, violations=())
     violations = _refuted(den, cleared, boxes)
     return VerificationReport(valid=False, violations=tuple(violations))
@@ -280,18 +283,30 @@ class _Placement:
     """
 
     def __init__(self, cleared: _Ints):
-        ux, uy, vx, vy = cleared
-        # The Hermite form (spacing, period, shear) of each line family.
-        self.forms = {"h": axis_form(ux, vx, uy, vy), "v": axis_form(uy, vy, ux, vx)}
+        self.cleared = cleared
+        self.forms: dict[str, tuple[int, int, int]] | None = None
         self.on_line: dict[_LineId, dict] = {}  # line -> {key: (start, length)}
         self.line_of: dict = {}
         self.arcs: dict = {}  # key -> the arcs its segment covers
         self.lines: dict[_LineId, _Line] = {}
         self.touched: set[_LineId] = set()
 
+    def form(self, orientation: str) -> tuple[int, int, int]:
+        """The Hermite form (spacing, period, shear) of a line family.
+
+        The forms are built on first use, so a certificate that fails its area
+        test builds none.  A ``cached_property`` in place of this call made
+        the split-reduce benchmark about 8% slower (2-CPU x86_64, Python 3.11).
+        """
+        if self.forms is None:
+            ux, uy, vx, vy = self.cleared
+            h, v = axis_form(ux, vx, uy, vy), axis_form(uy, vy, ux, vx)
+            self.forms = {"h": h, "v": v}
+        return self.forms[orientation]
+
     def put(self, key, orientation: str, x: int, y: int, length: int) -> None:
         along, offset = (x, y) if orientation == "h" else (y, x)
-        spacing, period, shear = self.forms[orientation]
+        spacing, period, shear = self.form(orientation)
         # The lattice vector steps*(shear, spacing) moves the segment onto
         # the line of line_key in [0, spacing).
         steps, line_key = divmod(offset, spacing)
@@ -312,8 +327,8 @@ class _Placement:
         self.touched.add(line_id)
 
     def recut(self) -> list[_LineId]:
-        """Rebuild the lines touched since the last call and return their ids,
-        sorted; a line left without segments is removed."""
+        """Rebuild the lines touched since the last call and return them as
+        sorted ``_LineId``s; a line left without segments is removed."""
         touched = sorted(self.touched)
         self.touched.clear()
         for line_id in touched:
@@ -322,7 +337,7 @@ class _Placement:
                 del self.on_line[line_id]
                 self.lines.pop(line_id, None)
                 continue
-            period = self.forms[line_id[0]][1]
+            period = self.form(line_id[0])[1]
             ends = {(start + n) % period for start, n in segments.values()}
             cuts = sorted(ends.union(start for start, _ in segments.values()))
             line = self.lines[line_id] = _Line(period, cuts)
@@ -348,16 +363,6 @@ def _sides(box: _Ints):
     yield "v", x1, y0, y1 - y0
 
 
-def _area(box: _Ints) -> int:
-    x0, x1, y0, y1 = box
-    return (x1 - x0) * (y1 - y0)
-
-
-def _put_sides(placement: _Placement, box_id: int, box: _Ints) -> None:
-    for side, segment in enumerate(_sides(box)):
-        placement.put((box_id, side), *segment)
-
-
 def _cancels(placement: _Placement, line_ids: Iterable[_LineId]) -> bool:
     """Whether each arc of these lines has as many bottom (left) sides over
     it as top (right) sides, with sides keyed (box id, index in ``_sides``)."""
@@ -375,56 +380,45 @@ def _cancels(placement: _Placement, line_ids: Iterable[_LineId]) -> bool:
     return True
 
 
-def _certify(cleared: _Ints, boxes: list[_Ints]) -> _Placement | None:
-    """The placement of the boxes' sides, keyed (box index, index in
-    ``_sides``), when the boxes tile the torus; None when they do not.
-
-    Exactly when ``_violations`` is empty, by the degree argument of the
-    module docstring.  A side longer than its line's circumference, the
-    period of its family, cannot occur in a tiling (its rectangle would meet
-    its own translate by the period), and is refused before anything is
-    placed: placing it would list one arc per turn around the line.  A
-    tiling that passes costs O(n log n) for n boxes: each arc then lies under
-    at most one bottom and one top side, so the sides cover O(n) arcs.
-    """
-    ux, uy, vx, vy = cleared
-    if sum(map(_area, boxes)) != abs(ux * vy - uy * vx):
-        return None
-    placement = _Placement(cleared)
-    width, height = placement.forms["h"][1], placement.forms["v"][1]
-    if any(x1 - x0 > width or y1 - y0 > height for x0, x1, y0, y1 in boxes):
-        return None
-    for box_id, box in enumerate(boxes):
-        _put_sides(placement, box_id, box)
-    return placement if _cancels(placement, placement.recut()) else None
-
-
-def _recertify(
+def _certify(
     placement: _Placement,
-    ids: list[int],
-    boxes: list[_Ints],
+    boxes: dict[int, _Ints],
     edits: dict[int, _Ints | None],
 ) -> list[_LineId] | None:
-    """Move the sides of the edited boxes (index -> new box, or None to drop
-    the box) in ``placement``, where box index k has id ``ids[k]``.  Returns
-    the lines cut again, or None when the edited boxes do not tile the torus.
+    """Apply the edits (box id -> new box, or None to drop the box) to
+    ``boxes`` and to the placement of their sides, keyed (box id, index in
+    ``_sides``).  Returns the lines cut again, sorted, when the edited boxes
+    tile the torus, and None when they do not.
 
-    Exact given that ``boxes`` tile: every line no edit touched still
-    cancels, so the certificate needs only the area change to be 0 and the
-    touched lines to cancel.  A side that wraps its line is counted once per
-    turn, which keeps the count exact; a reduction step grows a box by at
-    most the extent of another, so its sides wrap at most twice.  After None
-    the placement is of no use.
+    Exact, by the degree argument of the module docstring, when the boxes
+    placed before either tiled the torus or were none: so a whole tiling is
+    certified by applying ``dict(enumerate(boxes))`` to an empty placement.
+    The area test runs first and builds no line, then the side-length guard.
+    ``boxes`` holds the edited boxes even after None, but the placement is
+    then of no use.
     """
-    old_area = sum(_area(boxes[k]) for k in edits)
-    if sum(_area(box) for box in edits.values() if box) != old_area:
+    for k, box in edits.items():
+        if box:
+            boxes[k] = box
+        else:
+            del boxes[k]
+    ux, uy, vx, vy = placement.cleared
+    area = sum((x1 - x0) * (y1 - y0) for x0, x1, y0, y1 in boxes.values())
+    if area != abs(ux * vy - uy * vx):
+        return None
+    width, height = placement.form("h")[1], placement.form("v")[1]
+    if any(
+        x1 - x0 > width or y1 - y0 > height
+        for x0, x1, y0, y1 in filter(None, edits.values())
+    ):
         return None
     for k, box in edits.items():
         if box:
-            _put_sides(placement, ids[k], box)
+            for side, segment in enumerate(_sides(box)):
+                placement.put((k, side), *segment)
         else:
             for side in range(4):
-                placement.drop((ids[k], side))
+                placement.drop((k, side))
     touched = placement.recut()
     return touched if _cancels(placement, touched) else None
 
@@ -437,13 +431,14 @@ def _refuted(den: int, cleared: _Ints, boxes: list[_Ints]) -> list[Violation]:
     return violations
 
 
-def _clear_valid(tiling: Tiling) -> tuple[int, _Ints, list[_Ints], _Placement]:
-    # The integer form of a tiling that must verify, and its sides' placement.
+def _clear_valid(tiling: Tiling) -> tuple[int, _Ints, dict[int, _Ints], _Placement]:
+    # The integer form of a tiling that must verify, its boxes keyed by
+    # index, and its sides' placement.
     den, cleared, boxes = _clear(tiling)
-    placement = _certify(cleared, boxes)
-    if placement is None:
+    placement, placed = _Placement(cleared), {}
+    if _certify(placement, placed, dict(enumerate(boxes))) is None:
         raise InvalidTilingError(_violation_text(_refuted(den, cleared, boxes)))
-    return den, cleared, boxes, placement
+    return den, cleared, placed, placement
 
 
 def build_skeleton(tiling: Tiling) -> Skeleton:
@@ -506,7 +501,7 @@ def decompose_axis_paths(skeleton: Skeleton) -> AxisPathDecomposition:
     for k, edge in enumerate(edges):
         orientation = edge.orientation.value
         x, y, length = ints[4 + 3 * k : 7 + 3 * k]
-        if length > placement.forms[orientation][1]:
+        if length > placement.form(orientation)[1]:
             raise ValueError(f"skeleton edge {edge} is not one arc of its line")
         placement.put(k, orientation, x, y, length)
     placement.recut()
@@ -588,25 +583,21 @@ def reduce_tiling_with_trace(
     valid tiling with exactly one maximal path per axis and length at most the
     input's.
 
-    The input is certified by boundary cancellation (``_certify``), in
-    O(n log n) for n rectangles, and the reduction reads the certificate's
-    placement of the sides.  Each step is then certified exactly but only
-    where it can fail (``_recertify``): the area sum must stay the
-    covolume, and the lines the shifted sides leave or join, the only lines
-    placed and cut again, must still cancel arc by arc.  No rectangle pair is
-    scanned unless a check fails: the input's or a step's failure raises
-    with the full O(n^2) verification report.  The reduced tiling is verified
-    pair by pair once more.
+    The input and then each step are certified by the incremental
+    certificate of the module docstring (``_certify``), and the reduction
+    reads its placement of the sides.  No rectangle pair is scanned unless a
+    check fails: the input's or a step's failure raises with the full O(n^2)
+    verification report.  The reduced tiling is verified pair by pair once
+    more.
 
     Raises CycleExistsError when the input has an axis cycle, and also when a
     step creates one (the message then names the step), since the shift
     applies only to maximal paths.
     """
-    den, cleared, boxes, placement = _clear_valid(tiling)
-    length = sum(map(_half_perimeter, boxes))
-    # Sides are keyed by (box id, side index); a box keeps its id while the
+    # Boxes are keyed by their index in the input, which they keep while the
     # indices of the boxes after an eliminated one drop.
-    ids = list(range(len(boxes)))
+    den, cleared, boxes, placement = _clear_valid(tiling)
+    length = sum(map(_half_perimeter, boxes.values()))
     runs: dict[_LineId, list[list[int]]] = {}
     run_count = {"h": 0, "v": 0}
     steps: list[ReductionStep] = []
@@ -642,7 +633,7 @@ def reduce_tiling_with_trace(
         # coordinates those sides sit at.
         lo_side, lo, hi = (0, 2, 3) if orientation == "h" else (2, 0, 1)
 
-        # Per box with a side on the path, whether its low and its high side are.
+        # Per box id with a side on the path, whether its low and its high side are.
         on: dict[int, list[bool]] = {}
         for box_id, side in placement.on_line[target_line]:
             arcs = placement.arcs[box_id, side]
@@ -652,11 +643,10 @@ def reduce_tiling_with_trace(
                 raise ReductionStepInvalidError(
                     "rectangle side straddles two maximal paths"
                 )
-            idx = bisect_left(ids, box_id)
-            on.setdefault(idx, [False, False])[side - lo_side] = True
-        s1 = tuple(sorted(i for i, sides in on.items() if sides == [True, True]))
-        s2 = tuple(sorted(i for i, sides in on.items() if sides == [False, True]))
-        s3 = tuple(sorted(i for i, sides in on.items() if sides == [True, False]))
+            on.setdefault(box_id, [False, False])[side - lo_side] = True
+        s1 = sorted(k for k, sides in on.items() if sides == [True, True])
+        s2 = sorted(k for k, sides in on.items() if sides == [False, True])
+        s3 = sorted(k for k, sides in on.items() if sides == [True, False])
 
         mirrored = len(s2) < len(s3)
         working = s3 if mirrored else s2
@@ -664,32 +654,34 @@ def reduce_tiling_with_trace(
             raise ReductionStepInvalidError(
                 "several maximal paths but no shiftable rectangle on the chosen one"
             )
-        shrink = min(boxes[i][hi] - boxes[i][lo] for i in working)
+        shrink = min(boxes[k][hi] - boxes[k][lo] for k in working)
         shift = shrink if mirrored else -shrink
 
         edits: dict[int, _Ints | None] = {}
-        for idx, (lo_on, hi_on) in on.items():
-            box = list(boxes[idx])
+        for box_id, (lo_on, hi_on) in on.items():
+            box = list(boxes[box_id])
             if lo_on:
                 box[lo] += shift
             if hi_on:
                 box[hi] += shift
-            edits[idx] = None if box[lo] == box[hi] else tuple(box)
-        eliminated = tuple(sorted(i for i, box in edits.items() if box is None))
+            edits[box_id] = None if box[lo] == box[hi] else tuple(box)
+        eliminated = sorted(k for k, box in edits.items() if box is None)
 
         if not eliminated:
             raise ReductionStepInvalidError("shift eliminated no rectangle")
-        new_boxes = [edits.get(i, box) for i, box in enumerate(boxes)]
-        touched = _recertify(placement, ids, boxes, edits)
+        # The step reports indices in its input tiling, and its length change
+        # reads the boxes before _certify edits them.
+        rank = {box_id: i for i, box_id in enumerate(boxes)}
+        new_length = length + sum(
+            (_half_perimeter(new) if new else 0) - _half_perimeter(boxes[k])
+            for k, new in edits.items()
+        )
+        touched = _certify(placement, boxes, edits)
         if touched is None:
-            violations = _refuted(den, cleared, [b for b in new_boxes if b])
+            violations = _refuted(den, cleared, list(boxes.values()))
             raise ReductionStepInvalidError(
                 "rebuilt tiling is invalid: " + _violation_text(violations)
             )
-        new_length = length + sum(
-            (_half_perimeter(new) if new else 0) - _half_perimeter(boxes[i])
-            for i, new in edits.items()
-        )
         if not new_length < length:
             raise ReductionStepInvalidError("reduction step did not shorten the tiling")
         steps.append(
@@ -698,24 +690,22 @@ def reduce_tiling_with_trace(
                 line_key=Fraction(target_line[1], den),
                 path_start=Fraction(target_start, den),
                 mirrored=mirrored,
-                s1=s1,
-                s2=s2,
-                s3=s3,
+                s1=tuple(rank[k] for k in s1),
+                s2=tuple(rank[k] for k in s2),
+                s3=tuple(rank[k] for k in s3),
                 shrink=Fraction(shrink, den),
-                eliminated=eliminated,
+                eliminated=tuple(rank[k] for k in eliminated),
                 length_before=Fraction(length, den),
                 length_after=Fraction(new_length, den),
             )
         )
-        ids = [box_id for box_id, box in zip(ids, new_boxes) if box]
-        boxes = [box for box in new_boxes if box]
         length = new_length
     else:
         raise ReductionStepInvalidError("reduction did not terminate")
-    violations = _violations(den, cleared, boxes)
+    violations = _violations(den, cleared, list(boxes.values()))
     if violations:
         raise ReductionStepInvalidError(
             "reduced tiling is invalid: " + _violation_text(violations)
         )
-    rects = (Rect(*(Fraction(c, den) for c in box)) for box in boxes)
+    rects = (Rect(*(Fraction(c, den) for c in box)) for box in boxes.values())
     return Tiling(tiling.basis, tuple(rects)), tuple(steps)

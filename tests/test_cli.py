@@ -6,9 +6,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from torus_rect_tiler import cli
 from torus_rect_tiler.cli import RENDER_MAX_POINTS, main
 from torus_rect_tiler.exact_math import Vec2
 from torus_rect_tiler.lattice import LatticeBasis
+from torus_rect_tiler.skeleton import ReductionStepInvalidError
 from torus_rect_tiler.tiling import build_optimal, tiling_to_json_dict
 
 SKEWED_23 = "3 5 -4 1"
@@ -100,7 +102,9 @@ def test_build_forced_one_rect(capsys):
 def test_build_forced_two_rect_inapplicable(capsys):
     code, out, err = run(capsys, "build", "-b", UNIT, "--force", "two-rect")
     assert code == 1
-    assert "error" in err
+    assert err == (
+        "error: basis does not split into a same-sign and an opposite-sign vector\n"
+    )
 
 
 # --- verify -------------------------------------------------------------------
@@ -205,6 +209,11 @@ def test_skeleton_command_rejects_invalid(capsys, tmp_path):
     )
     code, out, err = run(capsys, "skeleton", "-t", str(path))
     assert code == 2
+    assert err == (
+        "invalid tiling: injectivity: rect 0: lattice point (-1, 0) is shorter "
+        "than the rectangle in both axes; coverage: rectangle areas sum to 2, "
+        "torus area is 1\n"
+    )
 
 
 # --- reduce -------------------------------------------------------------------
@@ -248,7 +257,9 @@ def test_reduce_one_rect_has_cycles(capsys, tmp_path):
     path = write_tiling(tmp_path, capsys, SKEWED_14)
     code, out, err = run(capsys, "reduce", "-t", str(path))
     assert code == 1
-    assert "cycle" in err.lower()
+    assert err == (
+        "error: v-cycle on line 0: the path-merging reduction does not apply\n"
+    )
 
 
 def test_reduce_invalid_tiling_exits_two(capsys, tmp_path):
@@ -260,6 +271,18 @@ def test_reduce_invalid_tiling_exits_two(capsys, tmp_path):
     )
     code, out, err = run(capsys, "reduce", "-t", str(path))
     assert code == 2 and err.startswith("invalid tiling: ") and out == ""
+
+
+def test_reduce_reports_a_failed_step(capsys, tmp_path, monkeypatch):
+    # No input is known to make a step fail, so the reduction is replaced.
+    def failing(tiling):
+        raise ReductionStepInvalidError("shift eliminated no rectangle")
+
+    monkeypatch.setattr(cli, "reduce_tiling_with_trace", failing)
+    path = write_tiling(tmp_path, capsys, SKEWED_23)
+    code, out, err = run(capsys, "reduce", "-t", str(path))
+    assert code == 1 and out == ""
+    assert err == "error: reduction failed: shift eliminated no rectangle\n"
 
 
 # --- render -------------------------------------------------------------------

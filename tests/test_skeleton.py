@@ -43,7 +43,6 @@ from torus_rect_tiler.skeleton import (
     _Placement,
     _certify,
     _clear,
-    _recertify,
     _violations,
 )
 from conftest import (
@@ -175,8 +174,9 @@ def test_verify_memory_does_not_grow_with_the_injectivity_box():
     assert peak < 1_000_000
 
 
-def test_certificate_agrees_with_full_verification_on_edge_cases():
+def test_certificate_agrees_with_full_verification_on_edge_cases(monkeypatch):
     covolume_23 = SKEWED_23.covolume
+    n = 20_000
     cases = [
         # A side of exactly one circumference, on both axes.
         Tiling(UNIT, (Rect(0, 1, 0, 1),)),
@@ -189,15 +189,42 @@ def test_certificate_agrees_with_full_verification_on_edge_cases():
         # Every line cancels, but each point is covered twice.
         Tiling(SKEWED_23, build_optimal(SKEWED_23).rects * 2),
         Tiling(UNIT, (Rect(0, 1, 0, 1),) * 2),
+        # Area 1 but n circumferences wide: refused before any side is placed.
+        Tiling(UNIT, (Rect(0, n, 0, Fraction(1, n)),)),
     ]
-    verdicts = []
+    puts = 0
+    put = skeleton._Placement.put
+
+    def counting(self, *args):
+        nonlocal puts
+        puts += 1
+        return put(self, *args)
+
+    monkeypatch.setattr(skeleton._Placement, "put", counting)
+    verdicts, edit_puts = [], []
     for t in cases:
         den, cleared, boxes = _clear(t)
-        certified = _certify(cleared, boxes) is not None
+        whole = _certify(_Placement(cleared), {}, dict(enumerate(boxes)))
+        certified = whole is not None
         assert certified == (not _violations(den, cleared, boxes)), t
         assert certified == verify_tiling(t).valid
         verdicts.append(certified)
-    assert verdicts == [True, True, False, False, False, False]
+        # The same boxes as edits of the basis's one-rectangle tiling: box 0
+        # replaces it and the others join.
+        one_rect = build_one_rect(t.basis, Axis.X).rects
+        den, cleared, boxes = _clear(Tiling(t.basis, one_rect + t.rects))
+        placement, placed = _Placement(cleared), {}
+        assert _certify(placement, placed, {0: boxes[0]}) is not None
+        puts = 0
+        edits = dict(enumerate(boxes[1:]))
+        edited = _certify(placement, placed, edits) is not None
+        assert edited == (not _violations(den, cleared, boxes[1:])), t
+        assert placed == edits
+        edit_puts.append(puts)
+    assert verdicts == [True, True, False, False, False, False, False]
+    # A box that fails the area test or has a side longer than its line
+    # places no side.
+    assert edit_puts == [4, 4, 0, 4, 0, 0, 0]
 
 
 def test_certificate_refuses_a_side_that_wraps_its_line_before_placing(monkeypatch):
@@ -657,11 +684,12 @@ def test_step_check_agrees_with_full_verification():
             edited = [edits.get(k, box) for k, box in enumerate(boxes)]
             edited = [box for box in edited if box]
             full = _violations(den, cleared, edited)
-            assert (_certify(cleared, edited) is not None) == (not full), (edits, full)
+            whole = _certify(_Placement(cleared), {}, dict(enumerate(edited)))
+            assert (whole is not None) == (not full), (edits, full)
             # The reduction's incremental form, from the unedited placement.
-            placement = _certify(cleared, boxes)
-            assert placement is not None
-            step = _recertify(placement, list(range(len(boxes))), boxes, edits)
+            placement, placed = _Placement(cleared), {}
+            assert _certify(placement, placed, dict(enumerate(boxes))) is not None
+            step = _certify(placement, placed, edits)
             assert (step is not None) == (not full), (edits, full)
             valid += not full
             balanced_invalid += bool(full) and all(
