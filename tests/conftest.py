@@ -219,3 +219,27 @@ def replay_reduction(tiling: Tiling, steps) -> Tiling:
         assert step.length_after == tiling_length(current)
         assert verify_tiling(current).valid
     return current
+
+
+def round3_oracle(x: Fraction) -> str:
+    """x rounded half away from zero at three decimals, as SVG attribute text,
+    on Fractions: floor(|x| * 1000 + 1/2), with the sign put back."""
+    n = x * 1000
+    sign = -1 if n < 0 else 1
+    m = sign * math.floor(abs(n) + Fraction(1, 2))
+    whole, frac = divmod(abs(m), 1000)
+    text = f"{whole}.{frac:03d}".rstrip("0").rstrip(".")
+    return ("-" + text) if m < 0 else text
+
+
+def view_box_oracle(tiling: Tiling) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """(x_lo, x_hi, y_lo, y_hi) of the basis parallelogram's corners and every
+    rectangle's corners as Vec2s, padded by a tenth of the larger extent."""
+    basis = tiling.basis
+    anchors = [Vec2(0, 0), basis.u, basis.v, basis.u + basis.v]
+    for r in tiling.rects:
+        anchors += [Vec2(r.x0, r.y0), Vec2(r.x1, r.y0), Vec2(r.x0, r.y1), Vec2(r.x1, r.y1)]
+    xs = [p.x for p in anchors]
+    ys = [p.y for p in anchors]
+    pad = max(max(xs) - min(xs), max(ys) - min(ys)) / 10
+    return min(xs) - pad, max(xs) + pad, min(ys) - pad, max(ys) + pad
