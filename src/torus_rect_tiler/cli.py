@@ -55,7 +55,8 @@ EXIT_INVALID = 2
 # Largest floor(N(B^-1) * radius) `oracle` scans: 2*120^2 points, about 1 s.
 ORACLE_MAX_COEFFICIENT = 120
 # Largest certified bound on the lattice points `render` draws, at about
-# 50 us per point: the largest accepted picture takes about a second.
+# 22 us per point: the largest accepted picture (19 460 points, from
+# `build -b "1 1 115 116"`) takes about half a second on a 2-CPU x86_64 host.
 RENDER_MAX_POINTS = 20_000
 
 
@@ -67,6 +68,23 @@ def _past_digit_limit(exc: ValueError) -> bool:
     # Python converts no int of over sys.get_int_max_str_digits() digits to or
     # from text; main reports that on one line of its own.
     return "integer string conversion" in str(exc)
+
+
+class _TooManyDigits(Exception):
+    """An option value past the digit limit.  Not a ValueError, which argparse
+    would report as usage and an echo of every digit."""
+
+
+def _int_option(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        if _past_digit_limit(exc):
+            raise _TooManyDigits from None
+        raise
+
+
+_int_option.__name__ = "int"  # argparse's "invalid int value" names the type
 
 
 class _Parser(argparse.ArgumentParser):
@@ -337,7 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_basis(p, False)
     p.add_argument("-t", "--tiling", required=True, help="tiling JSON file")
     p.add_argument("-o", "--output", required=True, help="output SVG path")
-    p.add_argument("--width", type=int, default=640, help="image width in pixels")
+    p.add_argument("--width", type=_int_option, default=640, help="image width in pixels")
     p.set_defaults(handler=_cmd_render)
 
     p = sub.add_parser("oracle", help="brute-force lattice point dump for cross-checks")
@@ -351,8 +369,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.handler(args)
     except InvalidTilingError as exc:
         print(f"invalid tiling: {exc}", file=sys.stderr)
@@ -363,11 +381,13 @@ def main(argv=None) -> int:
     except ReductionStepInvalidError as exc:
         print(f"error: reduction failed: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except _TooManyDigits:
+        pass
     except ValueError as exc:
         if not _past_digit_limit(exc):
             raise
-        print("error: a number has too many digits to read or print", file=sys.stderr)
-        return EXIT_USAGE
+    print("error: a number has too many digits to read or print", file=sys.stderr)
+    return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -8,21 +8,21 @@ when attribute text is emitted, so identical inputs give identical bytes.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
-from .exact_math import Vec2
+from .exact_math import Vec2, clear_denominators
 from .lattice import lattice_points_in_box
 from .tiling import Tiling
 
 
 def _round3(x: Fraction) -> str:
-    n = x * 1000
-    sign = -1 if n < 0 else 1
-    m = sign * math.floor(abs(n) + Fraction(1, 2))
-    whole, frac = divmod(abs(m), 1000)
+    # floor(|x| * 1000 + 1/2) is (2000|n| + d) // 2d for x = n/d with d > 0:
+    # half away from zero, in one integer division.
+    n, d = x.numerator, x.denominator
+    m = (2000 * abs(n) + d) // (2 * d)
+    whole, frac = divmod(m, 1000)
     text = f"{whole}.{frac:03d}".rstrip("0").rstrip(".")
-    return ("-" + text) if m < 0 else text
+    return ("-" + text) if n < 0 and m else text
 
 
 def view_box(tiling: Tiling) -> tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -30,18 +30,33 @@ def view_box(tiling: Tiling) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     the basis parallelogram and every rectangle, padded on each side by a
     tenth of the larger extent.  The picture draws every lattice point in it.
     """
-    basis = tiling.basis
-    anchors = [Vec2(0, 0), basis.u, basis.v, basis.u + basis.v]
-    for rect in tiling.rects:
-        anchors.extend(rect.corners())
-    xs = [p.x for p in anchors]
-    ys = [p.y for p in anchors]
-    pad = max(max(xs) - min(xs), max(ys) - min(ys)) / 10
-    return min(xs) - pad, max(xs) + pad, min(ys) - pad, max(ys) + pad
+    u, v = tiling.basis.u, tiling.basis.v
+    den, ints = clear_denominators(
+        u.x, u.y, v.x, v.y, *(c for r in tiling.rects for c in (r.x0, r.x1, r.y0, r.y1))
+    )
+    ux, uy, vx, vy = ints[:4]
+    xs = (0, ux, vx, ux + vx, *ints[4::4], *ints[5::4])
+    ys = (0, uy, vy, uy + vy, *ints[6::4], *ints[7::4])
+    x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys), max(ys)
+    pad = max(x_hi - x_lo, y_hi - y_lo)  # ten times the pad, over den
+    return (
+        Fraction(10 * x_lo - pad, 10 * den),
+        Fraction(10 * x_hi + pad, 10 * den),
+        Fraction(10 * y_lo - pad, 10 * den),
+        Fraction(10 * y_hi + pad, 10 * den),
+    )
 
 
 def render_tiling_svg(tiling: Tiling, width: int = 640) -> str:
-    """Render the tiling to standalone SVG text."""
+    """Render the tiling to standalone SVG text, ``width`` pixels wide.
+
+    The picture shows the box ``view_box(tiling)`` and draws a circle at every
+    lattice point in it, so its cost is one ``_round3`` pair per such point,
+    and their number grows with the box's area over the covolume.  Nothing
+    here bounds that number: a nearly singular basis can ask for millions of
+    points.  The CLI's ``RENDER_MAX_POINTS`` is the only bound; it refuses
+    such a picture before rendering.
+    """
     if width <= 0:
         raise ValueError("width must be a positive pixel count")
     basis = tiling.basis

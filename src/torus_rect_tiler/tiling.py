@@ -62,14 +62,6 @@ class Rect:
     def area(self) -> Fraction:
         return self.width * self.height
 
-    def corners(self) -> tuple[Vec2, Vec2, Vec2, Vec2]:
-        return (
-            Vec2(self.x0, self.y0),
-            Vec2(self.x1, self.y0),
-            Vec2(self.x0, self.y1),
-            Vec2(self.x1, self.y1),
-        )
-
 
 @dataclass(frozen=True)
 class Tiling:

@@ -469,6 +469,25 @@ def test_a_literal_past_the_int_digit_limit_reads_as_too_many_digits(capsys, tmp
     assert run(capsys, "verify", "-t", str(path)) == expected
 
 
+def test_a_width_past_the_int_digit_limit_reads_as_too_many_digits(capsys, tmp_path):
+    # argparse would report int()'s ValueError as usage and echo every digit.
+    tiling_path = write_tiling(tmp_path, capsys, UNIT)
+    out_path = tmp_path / "wide.svg"
+    render = ("render", "-t", str(tiling_path), "-o", str(out_path), "--width")
+    expected = (1, "", "error: a number has too many digits to read or print\n")
+    assert run(capsys, *render, "9" * 5000) == expected
+    with pytest.raises(SystemExit) as exc:
+        main([*render, "1e3"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (1, "") and err.startswith("usage: ")
+    assert err.endswith(
+        "torus-rect-tiler render: error: argument --width: invalid int value: '1e3'\n"
+    )
+    for width in ("0", "-5"):
+        assert run(capsys, *render, width) == (1, "", "error: --width must be positive\n")
+    assert not out_path.exists()
+
+
 # --- fuzz ---------------------------------------------------------------------
 
 # Deterministic, no example database, and a deadline per example, so the fuzz
