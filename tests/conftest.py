@@ -15,6 +15,7 @@ from torus_rect_tiler import (
     enumerate_lattice_points,
     l1_norm,
     lattice_point,
+    lattice_points_in_box,
     tiling_length,
     verify_tiling,
 )
@@ -243,3 +244,54 @@ def view_box_oracle(tiling: Tiling) -> tuple[Fraction, Fraction, Fraction, Fract
     ys = [p.y for p in anchors]
     pad = max(max(xs) - min(xs), max(ys) - min(ys)) / 10
     return min(xs) - pad, max(xs) + pad, min(ys) - pad, max(ys) + pad
+
+
+def render_svg_oracle(tiling: Tiling, width: int) -> str:
+    """render_tiling_svg on Fractions: every anchor and lattice point is a
+    Vec2 mapped by (p.x - x_lo) * scale and (y_hi - p.y) * scale, the box is
+    view_box_oracle's, the circles are lattice_points_in_box's and every
+    number is round3_oracle's."""
+    basis = tiling.basis
+    origin = Vec2(0, 0)
+    x_lo, x_hi, y_lo, y_hi = view_box_oracle(tiling)
+    scale = Fraction(width) / (x_hi - x_lo)
+
+    def point(p: Vec2) -> str:
+        return f"{round3_oracle((p.x - x_lo) * scale)},{round3_oracle((y_hi - p.y) * scale)}"
+
+    par = (origin, basis.u, basis.u + basis.v, basis.v)
+    elements = [
+        f'<polygon class="cell" points="{" ".join(point(p) for p in par)}" fill="none" '
+        'stroke="#999999" stroke-dasharray="6,4" stroke-width="1"/>'
+    ]
+    for lam in lattice_points_in_box(basis, x_lo, x_hi, y_lo, y_hi):
+        cx, cy = point(lam).split(",")
+        elements.append(
+            f'<circle class="lattice-point" cx="{cx}" cy="{cy}" r="3" fill="#444444"/>'
+        )
+    for r in tiling.rects:
+        x, y = point(Vec2(r.x0, r.y1)).split(",")
+        w, h = round3_oracle(r.width * scale), round3_oracle(r.height * scale)
+        elements.append(
+            f'<rect class="tile" x="{x}" y="{y}" width="{w}" height="{h}" '
+            'fill="#76b5e4" fill-opacity="0.35" stroke="#1f5e91" stroke-width="2"/>'
+        )
+    for vector in (basis.u, basis.v):
+        start, end = point(origin).replace(",", " "), point(vector).replace(",", " ")
+        elements.append(
+            f'<path class="arrow" d="M {start} L {end}" fill="none" '
+            'stroke="#c03020" stroke-width="2.5" marker-end="url(#arrowhead)"/>'
+        )
+    w_attr = round3_oracle(Fraction(width))
+    h_attr = round3_oracle((y_hi - y_lo) * scale)
+    head = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w_attr}" '
+        f'height="{h_attr}" viewBox="0 0 {w_attr} {h_attr}">',
+        "<defs>",
+        '<marker id="arrowhead" markerWidth="8" markerHeight="8" refX="7" '
+        'refY="4" orient="auto"><polygon points="0,0 8,4 0,8" fill="#c03020"/>'
+        "</marker>",
+        "</defs>",
+    ]
+    return "\n".join(head + elements + ["</svg>"]) + "\n"

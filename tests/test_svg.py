@@ -6,7 +6,15 @@ import pytest
 
 from torus_rect_tiler import LatticeBasis, Rect, Tiling, Vec2, build_optimal, render_tiling_svg
 from torus_rect_tiler.svg import _round3, view_box
-from conftest import random_rational, random_rational_basis, round3_oracle, view_box_oracle
+from torus_rect_tiler.lattice import lattice_points_in_box
+from conftest import (
+    random_rational,
+    random_rational_basis,
+    random_split_tiling,
+    render_svg_oracle,
+    round3_oracle,
+    view_box_oracle,
+)
 
 INT_TWO_RECT = build_optimal(LatticeBasis(Vec2(3, 5), Vec2(-4, 1)))
 RATIONAL_TWO_RECT = build_optimal(
@@ -50,11 +58,39 @@ GOLDEN_SVG_SHA256 = {
 }
 TILINGS = {"int": INT_TWO_RECT, "rational": RATIONAL_TWO_RECT, "split": UNIT_SPLIT}
 
+# (tiling, circle count, sha256 at width 640) of pictures holding thousands of
+# lattice points: a nearly singular integer basis and a nearly singular
+# rational one, of covolume 1/12.
+LARGE_PICTURES = {
+    "int-40-41": (
+        build_optimal(LatticeBasis(Vec2(1, 1), Vec2(40, 41))),
+        2550,
+        "840bf6997b3e42004d145e26a84f859c316f261b72583598c92c817a7e3fdd31",
+    ),
+    "rational-1/12": (
+        build_optimal(
+            LatticeBasis(
+                Vec2(Fraction(2, 3), Fraction(3, 4)), Vec2(Fraction(25, 3), Fraction(19, 2))
+            )
+        ),
+        1700,
+        "7089ede4262782bbbd4ff59b70f4dd573aefd7311f0087a64e3708def8a19a90",
+    ),
+}
+
 
 @pytest.mark.parametrize("name, width", sorted(GOLDEN_SVG_SHA256))
 def test_render_bytes_are_pinned(name, width):
     svg = render_tiling_svg(TILINGS[name], width).encode("utf-8")
     assert hashlib.sha256(svg).hexdigest() == GOLDEN_SVG_SHA256[name, width]
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_PICTURES))
+def test_large_picture_bytes_are_pinned(name):
+    tiling, circles, digest = LARGE_PICTURES[name]
+    svg = render_tiling_svg(tiling, 640)
+    assert svg.count("<circle ") == circles
+    assert hashlib.sha256(svg.encode("utf-8")).hexdigest() == digest
 
 
 def test_a_tie_at_the_fourth_decimal_rounds_away_from_zero():
@@ -102,3 +138,34 @@ def test_view_box_matches_the_corner_oracle():
         box = view_box(tiling)
         assert box == view_box_oracle(tiling), tiling
         assert all(type(v) is Fraction for v in box)
+
+
+def _scattered(rng: random.Random, tiling: Tiling) -> Tiling:
+    """The tiling with each rectangle moved by its own lattice vector of
+    coefficients in [-3, 3]: still a tiling of the torus, now with negative
+    coordinates and rectangles far outside the basis parallelogram."""
+    u, v = tiling.basis.u, tiling.basis.v
+    rects = []
+    for r in tiling.rects:
+        shift = u.scaled(rng.randint(-3, 3)) + v.scaled(rng.randint(-3, 3))
+        rects.append(Rect(r.x0 + shift.x, r.x1 + shift.x, r.y0 + shift.y, r.y1 + shift.y))
+    return Tiling(tiling.basis, tuple(rects))
+
+
+def test_render_matches_the_fraction_oracle():
+    # Optimal tilings of rational bases, and split tilings scattered by
+    # lattice vectors, at widths from one pixel to a million.  Pictures of
+    # more than 600 lattice points are skipped to bound the oracle's time;
+    # the large pictures above are pinned by digest.
+    rng = random.Random(12)
+    rendered = 0
+    while rendered < 150:
+        basis = random_rational_basis(rng, max_den=rng.choice((1, 4, 60)))
+        tiling = build_optimal(basis)
+        if rendered % 2:
+            tiling = _scattered(rng, random_split_tiling(rng, tiling))
+        if len(lattice_points_in_box(basis, *view_box_oracle(tiling))) > 600:
+            continue
+        rendered += 1
+        for width in (1, 7, 640, 10**6):
+            assert render_tiling_svg(tiling, width) == render_svg_oracle(tiling, width), tiling
