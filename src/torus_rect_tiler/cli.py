@@ -55,9 +55,13 @@ EXIT_INVALID = 2
 # Largest floor(N(B^-1) * radius) `oracle` scans: 2*120^2 points, about 1 s.
 ORACLE_MAX_COEFFICIENT = 120
 # Largest certified bound on the lattice points `render` draws, at about
-# 22 us per point: the largest accepted picture (19 460 points, from
-# `build -b "1 1 115 116"`) takes about half a second on a 2-CPU x86_64 host.
+# 5 us per point: the largest accepted picture (19 460 points, from
+# `build -b "1 1 115 116"`) takes about a tenth of a second on a 2-CPU x86_64
+# host.
 RENDER_MAX_POINTS = 20_000
+# Largest `render --width`: the text of each coordinate grows with the width's
+# digits, which RENDER_MAX_POINTS does not bound.
+RENDER_MAX_WIDTH = 10**6
 
 
 class CliError(Exception):
@@ -235,6 +239,8 @@ def _cmd_render(args) -> int:
     tiling = _load_tiling(args.tiling, args.basis)
     if args.width <= 0:
         raise CliError("--width must be positive")
+    if args.width > RENDER_MAX_WIDTH:
+        raise CliError(f"--width must be at most {RENDER_MAX_WIDTH}")
     x_lo, x_hi, y_lo, y_hi = view_box(tiling)
     periods = axis_periods(tiling.basis)
     # Lattice x-coordinates are the multiples of g_x = m_y - d_y, and the

@@ -353,6 +353,22 @@ def test_render_rejects_nonpositive_width(capsys, tmp_path):
     assert not out_path.exists()
 
 
+def test_render_refuses_a_width_above_a_million(capsys, tmp_path):
+    # Each coordinate's text grows with the width's digits: a 4000-digit
+    # width would write hundreds of megabytes, so it is refused at once.
+    tiling_path = write_tiling(tmp_path, capsys, SKEWED_23)
+    out_path = tmp_path / "wide.svg"
+    render = ("render", "-t", str(tiling_path), "-o", str(out_path), "--width")
+    expected = (1, "", "error: --width must be at most 1000000\n")
+    start = time.perf_counter()
+    for width in (str(10**6 + 1), "9" * 4000):
+        assert run(capsys, *render, width) == expected
+    assert time.perf_counter() - start < 1
+    assert not out_path.exists()
+    assert run(capsys, *render, str(10**6)) == (0, "", "")
+    assert 'width="1000000"' in out_path.read_text()
+
+
 # --- oracle -------------------------------------------------------------------
 
 

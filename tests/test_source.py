@@ -58,6 +58,18 @@ def test_source_has_no_float():
     assert found == []
 
 
+def test_svg_has_no_true_division():
+    # The render maps and rounds every coordinate on integers through
+    # _round3's one floor division; a / would build a Fraction per value.
+    tree = ast.parse((SRC / "torus_rect_tiler" / "svg.py").read_text(encoding="utf-8"))
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+    ]
+    assert found == []
+
+
 def test_readme_library_example_runs():
     # The README's python block runs as written, and each "expr  # value"
     # line in it holds: both sides are evaluated in the package namespace.
