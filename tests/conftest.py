@@ -256,30 +256,31 @@ def render_svg_oracle(tiling: Tiling, width: int) -> str:
     x_lo, x_hi, y_lo, y_hi = view_box_oracle(tiling)
     scale = Fraction(width) / (x_hi - x_lo)
 
-    def point(p: Vec2) -> str:
-        return f"{round3_oracle((p.x - x_lo) * scale)},{round3_oracle((y_hi - p.y) * scale)}"
+    def point(p: Vec2) -> tuple[str, str]:
+        return round3_oracle((p.x - x_lo) * scale), round3_oracle((y_hi - p.y) * scale)
 
     par = (origin, basis.u, basis.u + basis.v, basis.v)
+    points_attr = " ".join(",".join(point(p)) for p in par)
     elements = [
-        f'<polygon class="cell" points="{" ".join(point(p) for p in par)}" fill="none" '
+        f'<polygon class="cell" points="{points_attr}" fill="none" '
         'stroke="#999999" stroke-dasharray="6,4" stroke-width="1"/>'
     ]
     for lam in lattice_points_in_box(basis, x_lo, x_hi, y_lo, y_hi):
-        cx, cy = point(lam).split(",")
+        cx, cy = point(lam)
         elements.append(
             f'<circle class="lattice-point" cx="{cx}" cy="{cy}" r="3" fill="#444444"/>'
         )
     for r in tiling.rects:
-        x, y = point(Vec2(r.x0, r.y1)).split(",")
+        x, y = point(Vec2(r.x0, r.y1))
         w, h = round3_oracle(r.width * scale), round3_oracle(r.height * scale)
         elements.append(
             f'<rect class="tile" x="{x}" y="{y}" width="{w}" height="{h}" '
             'fill="#76b5e4" fill-opacity="0.35" stroke="#1f5e91" stroke-width="2"/>'
         )
     for vector in (basis.u, basis.v):
-        start, end = point(origin).replace(",", " "), point(vector).replace(",", " ")
+        (x0, y0), (x1, y1) = point(origin), point(vector)
         elements.append(
-            f'<path class="arrow" d="M {start} L {end}" fill="none" '
+            f'<path class="arrow" d="M {x0} {y0} L {x1} {y1}" fill="none" '
             'stroke="#c03020" stroke-width="2.5" marker-end="url(#arrowhead)"/>'
         )
     w_attr = round3_oracle(Fraction(width))
