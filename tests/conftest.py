@@ -7,6 +7,7 @@ from fractions import Fraction
 from torus_rect_tiler import (
     LatticeBasis,
     Orientation,
+    QuadrantBasis,
     Rect,
     Tiling,
     TorusPoint,
@@ -100,6 +101,32 @@ def brute_quadrant_minima(basis: LatticeBasis) -> tuple[Fraction, Fraction]:
         if q1 and q2:
             return min(q1), min(q2)
         radius *= 2
+
+
+def brute_quadrant_basis(basis: LatticeBasis) -> QuadrantBasis:
+    """The QuadrantBasis the documented tie rule picks, by scanning growing
+    l1 balls: in each sign class (by p.x * p.y) the least norm, then the least
+    |y|, then the canonical one of the pair +-p (x > 0, or x = 0 with y > 0, in
+    the same-sign class; x < 0 < y in the opposite-sign class).
+
+    Independent of quadrant_basis and of its sign-class key: this only
+    filters the output of enumerate_lattice_points.
+    """
+    radius = min(l1_norm(basis.u), l1_norm(basis.v))
+    while True:
+        points = enumerate_lattice_points(basis, radius)
+        same = [p for p in points if not p.is_zero() and p.x * p.y >= 0]
+        opposite = [p for p in points if p.x * p.y < 0]
+        if same and opposite:
+            break
+        radius *= 2
+    p1 = min(same, key=lambda p: (l1_norm(p), abs(p.y)))
+    p2 = min(opposite, key=lambda p: (l1_norm(p), abs(p.y)))
+    if p1.x < 0 or (p1.x == 0 and p1.y < 0):
+        p1 = -p1
+    if p2.x > 0:
+        p2 = -p2
+    return QuadrantBasis(p1, p2)
 
 
 def brute_box_points(cleared, x_lo, x_hi, y_lo, y_hi) -> list[tuple[int, int]]:

@@ -24,6 +24,7 @@ from torus_rect_tiler.lattice import box_points
 from conftest import (
     brute_axis_period,
     brute_box_points,
+    brute_quadrant_basis,
     brute_quadrant_minima,
     random_int_basis,
     random_positive_rational,
@@ -219,6 +220,36 @@ def test_quadrant_basis_matches_brute_force():
         n1, n2 = brute_quadrant_minima(basis)
         assert l1_norm(qb.u1) == n1
         assert l1_norm(qb.u2) == n2
+
+
+# Lattices with many l1 ties within and across the sign classes: Z^2, its
+# index-2 sublattice (1,1),(1,-1) and Z^2 turned by the rational rotation
+# with cosine 3/5.
+TIE_HEAVY = (
+    UNIT,
+    LatticeBasis(Vec2(1, 1), Vec2(1, -1)),
+    LatticeBasis(Vec2(Fraction(3, 5), Fraction(4, 5)), Vec2(Fraction(-4, 5), Fraction(3, 5))),
+)
+
+
+def test_quadrant_basis_follows_the_tie_rule():
+    # Whole results, orientation included, against the oracle's own sign
+    # test and tie rule (least norm, then least |y|, then canonical sign).
+    # A unimodular image spans the same lattice, so it must give the same
+    # pair as the oracle run on the original basis.
+    rng = random.Random(22)
+    for _ in range(100):
+        basis = random_int_basis(rng)
+        assert quadrant_basis(basis) == brute_quadrant_basis(basis)
+    for _ in range(60):
+        basis = random_rational_basis(rng)
+        assert quadrant_basis(basis) == brute_quadrant_basis(basis)
+    for base in TIE_HEAVY:
+        want = brute_quadrant_basis(base)
+        assert quadrant_basis(base) == want
+        for _ in range(40):
+            image = transformed_basis(base, random_unimodular(rng))
+            assert quadrant_basis(image) == want
 
 
 def test_axis_periods_examples():
