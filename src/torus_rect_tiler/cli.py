@@ -10,14 +10,7 @@ import json
 import math
 import sys
 
-from .exact_math import (
-    Quadrant,
-    Vec2,
-    l1_norm,
-    parse_rational,
-    quadrant_of,
-    quadrant_representative,
-)
+from .exact_math import Vec2, parse_rational, sign_key
 from .lattice import (
     LatticeBasis,
     QuadrantBasis,
@@ -159,14 +152,15 @@ def _sign_pair_from_basis(basis: LatticeBasis) -> QuadrantBasis:
     in either order; signs are canonicalized.
     """
     for first, second in ((basis.u, basis.v), (basis.v, basis.u)):
-        if quadrant_of(first) is Quadrant.Q1 and quadrant_of(second) is Quadrant.Q2:
-            c1 = quadrant_representative(first)
-            if c1.x * c1.y == 0:
+        _, y1, x1 = sign_key(first.x, first.y)
+        _, y2, x2 = sign_key(second.x, second.y)
+        if x1 >= 0 and x2 < 0:
+            if x1 * y1 == 0:
                 raise AxisAlignedGeneratorError(
                     f"{first} lies on an axis; the two-rectangle construction "
                     "does not apply"
                 )
-            return QuadrantBasis(c1, quadrant_representative(second))
+            return QuadrantBasis(Vec2(x1, y1), Vec2(x2, y2))
     raise AxisAlignedGeneratorError(
         "basis does not split into a same-sign and an opposite-sign vector"
     )
@@ -273,29 +267,21 @@ def _cmd_oracle(args) -> int:
             f"oracle scans at most {ORACLE_MAX_COEFFICIENT}"
         )
     points = enumerate_lattice_points(basis, radius)
+    keys = [key for key in (sign_key(p.x, p.y) for p in points) if key[0]]
 
-    best = {Quadrant.Q1: None, Quadrant.Q2: None}
-    for pt in points:
-        if pt.is_zero():
-            continue
-        side = quadrant_of(pt)
-        w = quadrant_representative(pt)
-        key = (l1_norm(w), w.y, w.x)
-        if best[side] is None or key < best[side][0]:
-            best[side] = (key, w)
-
-    def minimum(side: Quadrant):
-        if best[side] is None:
+    def minimum(opposite: bool):
+        side = [key for key in keys if (key[2] < 0) is opposite]
+        if not side:
             return None
-        _, w = best[side]
-        return {"vector": [str(w.x), str(w.y)], "norm": str(l1_norm(w))}
+        norm, y, x = min(side)
+        return {"vector": [str(x), str(y)], "norm": str(norm)}
 
     doc = {
         "radius": str(radius),
         "count": len(points),
         "points": [[str(p.x), str(p.y)] for p in points],
-        "q1_min": minimum(Quadrant.Q1),
-        "q2_min": minimum(Quadrant.Q2),
+        "q1_min": minimum(False),
+        "q2_min": minimum(True),
     }
     _emit_json(doc, args.output)
     return EXIT_OK

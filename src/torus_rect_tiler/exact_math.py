@@ -3,6 +3,8 @@
 Every quantity in this package (coordinates, lengths, areas) is a
 ``fractions.Fraction``, so all comparisons and equalities are decided exactly;
 its ``str``, "n" or "n/d" with d > 0, is the text form ``parse_rational`` reads.
+The sign-class rule (the class of a vector, the canonical one of +-v and the
+tie order among shortest vectors) lives in ``sign_key`` alone.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
@@ -66,31 +67,21 @@ class Vec2:
         return f"({self.x}, {self.y})"
 
 
-class Quadrant(Enum):
-    """Sign classes for the coordinate product: Q1 is closed, Q2 strictly open."""
-
-    Q1 = "q1"  # x*y >= 0, axes included
-    Q2 = "q2"  # x*y < 0
-
-
 def l1_norm(v: Vec2) -> Fraction:
     return abs(v.x) + abs(v.y)
 
 
-def quadrant_of(v: Vec2) -> Quadrant:
-    return Quadrant.Q1 if v.x * v.y >= 0 else Quadrant.Q2
+def sign_key(x, y):
+    """(|x| + |y|, |y|, x') for the pair +-(x, y), on ints or Fractions.
 
-
-def quadrant_representative(v: Vec2) -> Vec2:
-    """The canonical one of v and -v for its quadrant.
-
-    Q1 vectors get x > 0, or x = 0 with y > 0; Q2 vectors get x < 0 < y.
+    x' = |x| in the same-sign class x*y >= 0 (axes included) and -|x| in the
+    opposite-sign class x*y < 0, so x' < 0 exactly in the opposite-sign class
+    and (x', |y|) is the canonical one of +-(x, y): x > 0, or x = 0 with y > 0,
+    in the same-sign class, and x < 0 < y in the other.  Keys compare by the
+    tie rule among shortest vectors: least l1 norm, then least |y|.
     """
-    if quadrant_of(v) is Quadrant.Q1:
-        flip = v.x < 0 or (v.x == 0 and v.y < 0)
-    else:
-        flip = v.x > 0
-    return -v if flip else v
+    ax, ay = abs(x), abs(y)
+    return ax + ay, ay, -ax if x * y < 0 else ax
 
 
 def clear_denominators(*values) -> tuple[int, tuple[int, ...]]:

@@ -5,10 +5,12 @@ A lattice is given by an ordered basis pair {u, v} with nonzero determinant.
 All searches are certified exact: enumeration bounds come from the l1 operator
 norm of the inverse basis matrix.  Searches and box queries run on integers:
 the basis (and any bounds) are cleared once by ``clear_denominators``, and
-only results are converted back to fractions.  ``box_points`` scans a box of
-an already cleared lattice, for callers that clear many boxes at once, in
-O(1) for its coefficient hull plus O(z1 span) plus O(points) time;
-``axis_form`` is the integer Hermite form of a cleared lattice along an axis.
+only results are converted back to fractions.  Shortest sign-class vectors
+are ranked by ``exact_math.sign_key``, the package's one sign-class rule.
+``box_points`` scans a box of an already cleared lattice, for callers that
+clear many boxes at once, in O(1) for its coefficient hull plus O(z1 span)
+plus O(points) time; ``axis_form`` is the integer Hermite form of a cleared
+lattice along an axis.
 """
 
 from __future__ import annotations
@@ -20,14 +22,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .exact_math import (
-    Quadrant,
-    Vec2,
-    clear_denominators,
-    l1_norm,
-    quadrant_of,
-    quadrant_representative,
-)
+from .exact_math import Vec2, clear_denominators, l1_norm, sign_key
 
 
 class SingularBasisError(ValueError):
@@ -194,13 +189,13 @@ class QuadrantBasis:
     u2: Vec2
 
     def __post_init__(self):
-        if self.u1.is_zero() or quadrant_of(self.u1) is not Quadrant.Q1:
+        norm, y1, x1 = sign_key(self.u1.x, self.u1.y)
+        if norm == 0 or x1 < 0:
             raise ValueError(f"u1 must be a nonzero same-sign vector, got {self.u1}")
-        if quadrant_representative(self.u1) != self.u1:
+        if (x1, y1) != (self.u1.x, self.u1.y):
             raise ValueError(f"u1 not in canonical orientation: {self.u1}")
-        if quadrant_of(self.u2) is not Quadrant.Q2 or (
-            quadrant_representative(self.u2) != self.u2
-        ):
+        _, y2, x2 = sign_key(self.u2.x, self.u2.y)
+        if x2 >= 0 or (x2, y2) != (self.u2.x, self.u2.y):
             raise ValueError(f"u2 must satisfy x < 0 < y, got {self.u2}")
 
     @property
@@ -211,50 +206,44 @@ class QuadrantBasis:
 def quadrant_basis(basis: LatticeBasis) -> QuadrantBasis:
     """Find the shortest same-sign and opposite-sign lattice vectors.
 
-    Scans integer coefficient pairs shell by shell in increasing |z1| + |z2|.
-    Once both candidates exist, the search is complete as soon as the finished
-    shells exhaust every preimage of the current best norms, which the
-    inverse-norm bound guarantees.  Ties at equal norm go to the vector with
-    the smaller |y| (the flattest one).
+    Scans integer coefficient pairs shell by shell in increasing |z1| + |z2|,
+    from shell 1; the basis is independent, so no pair there gives the zero
+    vector.  Shell n is closed under negation and both members of a pair
+    +-(z1, z2) give the same ``sign_key``, so it is enough to visit one of
+    each: z1 >= 0, and z2 > 0 when z1 = 0, which is 2n pairs on shell n.
+    Once both candidates exist, the search is complete as soon as the
+    finished shells exhaust every preimage of the current best norms, which
+    the inverse-norm bound guarantees.  Each class keeps its least key, so
+    ties at equal norm go to the vector with the smaller |y| (the flattest
+    one).
     """
     den, (ux, uy, vx, vy) = clear_denominators(*basis.entries)
     # On the cleared basis the inverse-norm bound of ``_inverse_l1_norm`` times
     # a norm W is m*W/det, so shell n lies past it exactly when n*det > m*W.
     m = max(abs(vy) + abs(uy), abs(vx) + abs(ux))
     det = abs(ux * vy - uy * vx)
-    best1: Optional[tuple[int, int, int]] = None  # (norm, y, x) scaled
-    best2: Optional[tuple[int, int, int]] = None
-    for n in itertools.count():
+    best1: Optional[tuple[int, int, int]] = None  # least key with x' >= 0
+    best2: Optional[tuple[int, int, int]] = None  # least key with x' < 0
+    for n in itertools.count(1):
         if best1 is not None and best2 is not None:
             if n * det > m * max(best1[0], best2[0]):
                 break
-        # The shell |z1| + |z2| = n.
-        for z1 in range(-n, n + 1):
-            rest = n - abs(z1)
-            for z2 in (rest, -rest) if rest else (0,):
-                a = z1 * ux + z2 * vx
-                b = z1 * uy + z2 * vy
-                if a == 0 and b == 0:
-                    continue
-                # Sign classes inlined: a helper call per pair slows this hot loop.
-                if (a > 0 > b) or (a < 0 < b):
-                    if a > 0:
-                        a, b = -a, -b
-                    key = (b - a, b, a)
+        for z1 in range(n + 1):
+            rest = n - z1
+            for z2 in (rest, -rest) if rest and z1 else (rest,):
+                key = sign_key(z1 * ux + z2 * vx, z1 * uy + z2 * vy)
+                if key[2] < 0:
                     if best2 is None or key < best2:
                         best2 = key
-                else:
-                    if a < 0 or (a == 0 and b < 0):
-                        a, b = -a, -b
-                    key = (a + b, b, a)
-                    if best1 is None or key < best1:
-                        best1 = key
-    u1 = Vec2(Fraction(best1[2], den), Fraction(best1[1], den))
-    u2 = Vec2(Fraction(best2[2], den), Fraction(best2[1], den))
-    result = QuadrantBasis(u1, u2)
-    if abs(u1.x * u2.y - u1.y * u2.x) != basis.covolume:
+                elif best1 is None or key < best1:
+                    best1 = key
+    (_, y1, x1), (_, y2, x2) = best1, best2
+    if abs(x1 * y2 - y1 * x2) != det:
         raise RuntimeError(f"quadrant pair is not a lattice basis for {basis}")
-    return result
+    return QuadrantBasis(
+        Vec2(Fraction(x1, den), Fraction(y1, den)),
+        Vec2(Fraction(x2, den), Fraction(y2, den)),
+    )
 
 
 def axis_form(

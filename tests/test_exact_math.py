@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from torus_rect_tiler import Quadrant, Vec2, l1_norm, parse_rational, quadrant_of
-from torus_rect_tiler.exact_math import clear_denominators, quadrant_representative
+from torus_rect_tiler import Vec2, l1_norm, parse_rational, sign_key
+from torus_rect_tiler.exact_math import clear_denominators
 from conftest import random_rational
 
 
@@ -37,9 +37,18 @@ def test_l1_norm_examples():
 
 
 def test_quadrant_examples():
-    assert quadrant_of(Vec2(3, 5)) is Quadrant.Q1
-    assert quadrant_of(Vec2(-4, 1)) is Quadrant.Q2
-    assert quadrant_of(Vec2(0, 7)) is Quadrant.Q1
+    # The third entry is negative exactly in the opposite-sign class.
+    assert sign_key(3, 5) == (8, 5, 3)
+    assert sign_key(-4, 1) == (5, 1, -4)
+    assert sign_key(0, 7) == (7, 7, 0)
+    assert sign_key(0, 0) == (0, 0, 0)
+    assert sign_key(-6, 0) == (6, 0, 6)
+    assert sign_key(0, -6) == (6, 6, 0)
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    assert sign_key(-half, -third) == (Fraction(5, 6), third, half)
+    assert sign_key(half, -7 * third) == (Fraction(17, 6), 7 * third, -half)
+    assert sign_key(-2 * third, Fraction(0)) == (2 * third, 0, 2 * third)
+    assert sign_key(Fraction(0), -2 * third) == (2 * third, 2 * third, 0)
 
 
 def test_quadrant_representative_picks_the_canonical_sign():
@@ -50,11 +59,17 @@ def test_quadrant_representative_picks_the_canonical_sign():
         ((-4, 0), (4, 0)),
         ((-2, 1), (-2, 1)),
         ((2, -1), (-2, 1)),
+        ((Fraction(-1, 2), Fraction(-3, 4)), (Fraction(1, 2), Fraction(3, 4))),
+        ((Fraction(1, 2), Fraction(-3, 4)), (Fraction(-1, 2), Fraction(3, 4))),
+        ((Fraction(0), Fraction(-5, 7)), (0, Fraction(5, 7))),
+        ((Fraction(-5, 7), Fraction(0)), (Fraction(5, 7), 0)),
+        ((0, 0), (0, 0)),
     ]
     for (x, y), want in cases:
-        w = quadrant_representative(Vec2(x, y))
-        assert (w.x, w.y) == want
-        assert quadrant_representative(-w) == w
+        key = sign_key(x, y)
+        assert (key[2], key[1]) == want
+        assert sign_key(-x, -y) == key
+        assert sign_key(*want) == key
 
 
 def test_clear_denominators_gives_least_common_denominator():
@@ -99,5 +114,7 @@ def test_quadrant_classification_is_total_and_matches_sign():
     rng = random.Random(6)
     for _ in range(300):
         v = Vec2(random_rational(rng), random_rational(rng))
-        q = quadrant_of(v)
-        assert q is (Quadrant.Q1 if v.x * v.y >= 0 else Quadrant.Q2)
+        norm, y, x = sign_key(v.x, v.y)
+        assert (x < 0) is (v.x * v.y < 0)
+        assert norm == l1_norm(v)
+        assert Vec2(x, y) in (v, -v)

@@ -20,6 +20,7 @@ from torus_rect_tiler import (
     min_length,
     quadrant_basis,
 )
+from torus_rect_tiler import lattice
 from torus_rect_tiler.lattice import box_points
 from conftest import (
     brute_axis_period,
@@ -250,6 +251,32 @@ def test_quadrant_basis_follows_the_tie_rule():
         for _ in range(40):
             image = transformed_basis(base, random_unimodular(rng))
             assert quadrant_basis(image) == want
+
+
+@pytest.mark.parametrize(
+    "u, v, count",
+    [
+        ((1, 1), (10, 11), 24 * 25 + 2),
+        ((1, 1), (30, 31), 64 * 65 + 2),
+        ((1, 1), (100, 101), 204 * 205 + 2),
+        ((1, 0), (0, 50), 51 * 52 + 2),
+    ],
+)
+def test_quadrant_basis_work_is_pinned_as_a_key_count(monkeypatch, u, v, count):
+    # The search visits one of each pair +-(z1, z2), 2n pairs on shell n, so
+    # stopping before shell N (the first n with n*det > m*max norm) costs
+    # (N - 1)*N sign_key calls; QuadrantBasis checks its two vectors with two
+    # more.  Full shells or a lost stop test change the count on any host.
+    calls = []
+    real = lattice.sign_key
+
+    def counting(x, y):
+        calls.append((x, y))
+        return real(x, y)
+
+    monkeypatch.setattr(lattice, "sign_key", counting)
+    quadrant_basis(LatticeBasis(Vec2(*u), Vec2(*v)))
+    assert len(calls) == count
 
 
 def test_axis_periods_examples():
