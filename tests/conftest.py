@@ -87,39 +87,40 @@ def random_split_tiling(rng: random.Random, tiling: Tiling, max_splits: int = 6)
     return Tiling(tiling.basis, tuple(rects))
 
 
-def brute_quadrant_minima(basis: LatticeBasis) -> tuple[Fraction, Fraction]:
-    """Smallest l1 norms in each sign class, by scanning growing l1 balls.
-
-    Independent of the shell search inside quadrant_basis: this only filters
-    the output of enumerate_lattice_points.
-    """
-    radius = min(l1_norm(basis.u), l1_norm(basis.v))
-    while True:
-        points = enumerate_lattice_points(basis, radius)
-        q1 = [l1_norm(p) for p in points if not p.is_zero() and p.x * p.y >= 0]
-        q2 = [l1_norm(p) for p in points if p.x * p.y < 0]
-        if q1 and q2:
-            return min(q1), min(q2)
-        radius *= 2
-
-
-def brute_quadrant_basis(basis: LatticeBasis) -> QuadrantBasis:
-    """The QuadrantBasis the documented tie rule picks, by scanning growing
-    l1 balls: in each sign class (by p.x * p.y) the least norm, then the least
-    |y|, then the canonical one of the pair +-p (x > 0, or x = 0 with y > 0, in
-    the same-sign class; x < 0 < y in the opposite-sign class).
-
-    Independent of quadrant_basis and of its sign-class key: this only
-    filters the output of enumerate_lattice_points.
-    """
+def _brute_sign_classes(basis: LatticeBasis) -> tuple[list[Vec2], list[Vec2]]:
+    """The nonzero points of an l1 ball that holds points of both sign
+    classes, split by p.x * p.y >= 0 and < 0: the ball grows by doubling, and
+    every point as short as each class's shortest one lies in it."""
     radius = min(l1_norm(basis.u), l1_norm(basis.v))
     while True:
         points = enumerate_lattice_points(basis, radius)
         same = [p for p in points if not p.is_zero() and p.x * p.y >= 0]
         opposite = [p for p in points if p.x * p.y < 0]
         if same and opposite:
-            break
+            return same, opposite
         radius *= 2
+
+
+def brute_quadrant_minima(basis: LatticeBasis) -> tuple[Fraction, Fraction]:
+    """Smallest l1 norms in each sign class, by scanning growing l1 balls.
+
+    Independent of the shell search inside quadrant_basis: this only filters
+    the output of enumerate_lattice_points.
+    """
+    same, opposite = _brute_sign_classes(basis)
+    return min(map(l1_norm, same)), min(map(l1_norm, opposite))
+
+
+def brute_quadrant_basis(basis: LatticeBasis) -> QuadrantBasis:
+    """The QuadrantBasis the documented tie rule picks: in each sign class the
+    least norm, then the least |y|, then the canonical one of the pair +-p
+    (x > 0, or x = 0 with y > 0, in the same-sign class; x < 0 < y in the
+    opposite-sign class).
+
+    Independent of quadrant_basis and of its sign-class key: this only
+    filters the output of enumerate_lattice_points.
+    """
+    same, opposite = _brute_sign_classes(basis)
     p1 = min(same, key=lambda p: (l1_norm(p), abs(p.y)))
     p2 = min(opposite, key=lambda p: (l1_norm(p), abs(p.y)))
     if p1.x < 0 or (p1.x == 0 and p1.y < 0):
