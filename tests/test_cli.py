@@ -1,6 +1,11 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -13,6 +18,7 @@ from torus_rect_tiler.lattice import LatticeBasis
 from torus_rect_tiler.skeleton import ReductionStepInvalidError
 from torus_rect_tiler.tiling import build_optimal, tiling_to_json_dict
 
+ROOT = Path(__file__).resolve().parent.parent
 SKEWED_23 = "3 5 -4 1"
 SKEWED_14 = "2 1 -4 5"
 UNIT = "1 0 0 1"
@@ -455,6 +461,99 @@ def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["minlen"])  # missing -b
     assert exc.value.code == 1
+
+
+BASIS_OPTION = ("-b", "--basis")
+BASIS_HELP = "lattice basis as four rationals: first vector then second"
+HELP_OPTION = (("-h", "--help"), False, argparse.SUPPRESS, None, None,
+               "show this help message and exit")
+OUTPUT_OPTION = (("-o", "--output"), False, None, None, None,
+                 "write output here instead of stdout")
+TILING_OPTION = (("-t", "--tiling"), True, None, None, None, "tiling JSON file")
+
+
+def basis_option(required):
+    return (BASIS_OPTION, required, None, None, '"ux uy vx vy"', BASIS_HELP)
+
+
+# Each subcommand's help and its options in order, as
+# (option strings, required, default, choices, metavar, help).
+CLI_SURFACE = {
+    "minlen": ("minimum tiling length report",
+               [HELP_OPTION, basis_option(True), OUTPUT_OPTION]),
+    "build": ("construct a tiling as a JSON document", [
+        HELP_OPTION,
+        basis_option(True),
+        (("--force",), False, None, ("one-rect-x", "one-rect-y", "two-rect"), None,
+         "pick a construction instead of the optimal one"),
+        OUTPUT_OPTION,
+    ]),
+    "verify": ("check a tiling file against the torus",
+               [HELP_OPTION, basis_option(False), TILING_OPTION, OUTPUT_OPTION]),
+    "skeleton": ("dump the skeleton graph of a tiling file",
+                 [HELP_OPTION, basis_option(False), TILING_OPTION, OUTPUT_OPTION]),
+    "reduce": ("merge maximal axis paths to shorten a tiling",
+               [HELP_OPTION, basis_option(False), TILING_OPTION, OUTPUT_OPTION]),
+    "render": ("render a tiling file to SVG", [
+        HELP_OPTION,
+        basis_option(False),
+        TILING_OPTION,
+        (("-o", "--output"), True, None, None, None, "output SVG path"),
+        (("--width",), False, 640, None, None, "image width in pixels"),
+    ]),
+    "oracle": ("brute-force lattice point dump for cross-checks", [
+        HELP_OPTION,
+        basis_option(True),
+        (("--radius",), True, None, None, None, "l1 radius (rational)"),
+        OUTPUT_OPTION,
+    ]),
+}
+
+
+def test_cli_surface_is_pinned():
+    # Read from the argparse actions, not the formatted help, whose headings
+    # differ between Python versions.
+    parser = cli._build_parser()
+    assert parser.prog == "torus-rect-tiler"
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sub.required and sub.metavar == "command"
+    assert [(a.dest, a.help) for a in sub._choices_actions] == [
+        (name, help) for name, (help, _) in CLI_SURFACE.items()
+    ]
+    for name, (_, options) in CLI_SURFACE.items():
+        actions = sub.choices[name]._actions
+        assert [
+            (tuple(a.option_strings), a.required, a.default, a.choices, a.metavar, a.help)
+            for a in actions
+        ] == options, name
+    (width,) = [a for a in sub.choices["render"]._actions if a.dest == "width"]
+    assert width.type.__name__ == "int"  # argparse's "invalid int value" text
+
+
+def run_cli_process(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "torus_rect_tiler.cli", *argv],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        timeout=2,
+    )
+
+
+@pytest.mark.xfail(strict=True, raises=subprocess.TimeoutExpired,
+                   reason="the quadrant_basis shell search costs about N^2 on (1,0),(0,N)")
+def test_minlen_answers_on_a_reduced_basis_with_a_long_vector():
+    assert run_cli_process("minlen", "-b", "1 0 0 1000000").returncode == 0
+
+
+@pytest.mark.xfail(strict=True, raises=subprocess.TimeoutExpired,
+                   reason="_violations lists every lattice point in each box it scans")
+def test_verify_refuses_a_huge_square_over_the_integers(tmp_path):
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps({
+        "basis": [["1", "0"], ["0", "1"]],
+        "rects": [["0", "1000000", "0", "1000000"]],
+    }))
+    assert run_cli_process("verify", "-t", str(path)).returncode == 2
 
 
 def test_numbers_past_the_int_digit_limit_are_an_error_line(capsys, tmp_path):
