@@ -61,23 +61,33 @@ class CliError(Exception):
     """Input problem; reported on stderr with exit code 1."""
 
 
+_TOO_MANY_DIGITS = "a number has too many digits to read or print"
+
+
 def _past_digit_limit(exc: ValueError) -> bool:
     # Python converts no int of over sys.get_int_max_str_digits() digits to or
-    # from text; main reports that on one line of its own.
+    # from text, and its message would advise sys.set_int_max_str_digits().
     return "integer string conversion" in str(exc)
 
 
-class _TooManyDigits(Exception):
-    """An option value past the digit limit.  Not a ValueError, which argparse
-    would report as usage and an echo of every digit."""
+def _read(parse, value, prefix=""):
+    """parse(value) on user input, with a ValueError reported as a CliError."""
+    try:
+        return parse(value)
+    except ValueError as exc:
+        raise CliError(
+            _TOO_MANY_DIGITS if _past_digit_limit(exc) else prefix + str(exc)
+        ) from None
 
 
 def _int_option(text: str) -> int:
+    # argparse reports a ValueError as usage and an echo of every digit, and
+    # lets other exceptions through to main.
     try:
         return int(text)
     except ValueError as exc:
         if _past_digit_limit(exc):
-            raise _TooManyDigits from None
+            raise CliError(_TOO_MANY_DIGITS) from None
         raise
 
 
@@ -95,16 +105,11 @@ class _Parser(argparse.ArgumentParser):
 def _parse_basis(text: str) -> LatticeBasis:
     parts = text.split()
     if len(parts) != 4:
-        raise CliError(
+        raise ValueError(
             f"basis needs four rationals 'ux uy vx vy', got {len(parts)} items"
         )
-    try:
-        ux, uy, vx, vy = (parse_rational(p) for p in parts)
-        return LatticeBasis(Vec2(ux, uy), Vec2(vx, vy))
-    except ValueError as exc:
-        if _past_digit_limit(exc):
-            raise
-        raise CliError(str(exc)) from None
+    ux, uy, vx, vy = (parse_rational(p) for p in parts)
+    return LatticeBasis(Vec2(ux, uy), Vec2(vx, vy))
 
 
 def _load_tiling(path: str, basis_text) -> Tiling:
@@ -119,13 +124,8 @@ def _load_tiling(path: str, basis_text) -> Tiling:
         raise CliError(f"{path} is not UTF-8 text: {exc}") from None
     except RecursionError:
         raise CliError(f"JSON in {path} is nested too deeply") from None
-    try:
-        tiling = tiling_from_json_dict(doc)
-    except ValueError as exc:
-        if _past_digit_limit(exc):
-            raise
-        raise CliError(f"bad tiling document in {path}: {exc}") from None
-    if basis_text is not None and _parse_basis(basis_text) != tiling.basis:
+    tiling = _read(tiling_from_json_dict, doc, f"bad tiling document in {path}: ")
+    if basis_text is not None and _read(_parse_basis, basis_text) != tiling.basis:
         raise CliError("basis on the command line differs from the tiling file")
     return tiling
 
@@ -167,13 +167,13 @@ def _sign_pair_from_basis(basis: LatticeBasis) -> QuadrantBasis:
 
 
 def _cmd_minlen(args) -> int:
-    basis = _parse_basis(args.basis)
+    basis = _read(_parse_basis, args.basis)
     _emit_json(min_length(basis).to_json_dict(), args.output)
     return EXIT_OK
 
 
 def _cmd_build(args) -> int:
-    basis = _parse_basis(args.basis)
+    basis = _read(_parse_basis, args.basis)
     if args.force == "one-rect-x":
         tiling = build_one_rect(basis, Axis.X)
     elif args.force == "one-rect-y":
@@ -251,13 +251,8 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    basis = _parse_basis(args.basis)
-    try:
-        radius = parse_rational(args.radius)
-    except ValueError as exc:
-        if _past_digit_limit(exc):
-            raise
-        raise CliError(str(exc)) from None
+    basis = _read(_parse_basis, args.basis)
+    radius = _read(parse_rational, args.radius)
     if radius < 0:
         raise CliError("radius must be nonnegative")
     bound = math.floor(_inverse_l1_norm(basis) * radius)
@@ -287,6 +282,32 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+_TILING = (("-t", "--tiling"), dict(required=True, help="tiling JSON file"))
+_OUTPUT = (("-o", "--output"), dict(help="write output here instead of stdout"))
+
+# name, help, handler, whether --basis is required, the other options in order
+_COMMANDS = (
+    ("minlen", "minimum tiling length report", _cmd_minlen, True, [_OUTPUT]),
+    ("build", "construct a tiling as a JSON document", _cmd_build, True, [
+        (("--force",), dict(choices=("one-rect-x", "one-rect-y", "two-rect"),
+                            help="pick a construction instead of the optimal one")),
+        _OUTPUT]),
+    ("verify", "check a tiling file against the torus", _cmd_verify, False,
+     [_TILING, _OUTPUT]),
+    ("skeleton", "dump the skeleton graph of a tiling file", _cmd_skeleton, False,
+     [_TILING, _OUTPUT]),
+    ("reduce", "merge maximal axis paths to shorten a tiling", _cmd_reduce, False,
+     [_TILING, _OUTPUT]),
+    ("render", "render a tiling file to SVG", _cmd_render, False, [
+        _TILING,
+        (("-o", "--output"), dict(required=True, help="output SVG path")),
+        (("--width",), dict(type=_int_option, default=640,
+                            help="image width in pixels"))]),
+    ("oracle", "brute-force lattice point dump for cross-checks", _cmd_oracle, True,
+     [(("--radius",), dict(required=True, help="l1 radius (rational)")), _OUTPUT]),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="torus-rect-tiler",
@@ -297,65 +318,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
     sub.required = True
-
-    def add_basis(p, required):
+    for name, help, handler, basis_required, options in _COMMANDS:
+        p = sub.add_parser(name, help=help)
         p.add_argument(
             "-b",
             "--basis",
-            required=required,
+            required=basis_required,
             metavar='"ux uy vx vy"',
             help="lattice basis as four rationals: first vector then second",
         )
-
-    def add_output(p):
-        p.add_argument("-o", "--output", help="write output here instead of stdout")
-
-    p = sub.add_parser("minlen", help="minimum tiling length report")
-    add_basis(p, True)
-    add_output(p)
-    p.set_defaults(handler=_cmd_minlen)
-
-    p = sub.add_parser("build", help="construct a tiling as a JSON document")
-    add_basis(p, True)
-    p.add_argument(
-        "--force",
-        choices=("one-rect-x", "one-rect-y", "two-rect"),
-        help="pick a construction instead of the optimal one",
-    )
-    add_output(p)
-    p.set_defaults(handler=_cmd_build)
-
-    p = sub.add_parser("verify", help="check a tiling file against the torus")
-    add_basis(p, False)
-    p.add_argument("-t", "--tiling", required=True, help="tiling JSON file")
-    add_output(p)
-    p.set_defaults(handler=_cmd_verify)
-
-    p = sub.add_parser("skeleton", help="dump the skeleton graph of a tiling file")
-    add_basis(p, False)
-    p.add_argument("-t", "--tiling", required=True, help="tiling JSON file")
-    add_output(p)
-    p.set_defaults(handler=_cmd_skeleton)
-
-    p = sub.add_parser("reduce", help="merge maximal axis paths to shorten a tiling")
-    add_basis(p, False)
-    p.add_argument("-t", "--tiling", required=True, help="tiling JSON file")
-    add_output(p)
-    p.set_defaults(handler=_cmd_reduce)
-
-    p = sub.add_parser("render", help="render a tiling file to SVG")
-    add_basis(p, False)
-    p.add_argument("-t", "--tiling", required=True, help="tiling JSON file")
-    p.add_argument("-o", "--output", required=True, help="output SVG path")
-    p.add_argument("--width", type=_int_option, default=640, help="image width in pixels")
-    p.set_defaults(handler=_cmd_render)
-
-    p = sub.add_parser("oracle", help="brute-force lattice point dump for cross-checks")
-    add_basis(p, True)
-    p.add_argument("--radius", required=True, help="l1 radius (rational)")
-    add_output(p)
-    p.set_defaults(handler=_cmd_oracle)
-
+        for flags, settings in options:
+            p.add_argument(*flags, **settings)
+        p.set_defaults(handler=handler)
     return parser
 
 
@@ -373,13 +347,13 @@ def main(argv=None) -> int:
     except ReductionStepInvalidError as exc:
         print(f"error: reduction failed: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _TooManyDigits:
-        pass
     except ValueError as exc:
+        # Left to here: output text such as a covolume past the digit limit,
+        # and a JSON number past it, which json.load rejects.
         if not _past_digit_limit(exc):
             raise
-    print("error: a number has too many digits to read or print", file=sys.stderr)
-    return EXIT_USAGE
+        print(f"error: {_TOO_MANY_DIGITS}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

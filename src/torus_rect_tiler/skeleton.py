@@ -236,10 +236,7 @@ class _Line:
         self.covered = [False] * len(self.cuts)
 
     def arc_length(self, i: int) -> int:
-        m = len(self.cuts)
-        if m == 1:
-            return self.circumference
-        j = (i + 1) % m
+        j = (i + 1) % len(self.cuts)
         if j:
             return self.cuts[j] - self.cuts[i]
         return self.circumference - self.cuts[-1] + self.cuts[0]
