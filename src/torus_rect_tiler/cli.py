@@ -318,8 +318,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
     sub.required = True
-    for name, help, handler, basis_required, options in _COMMANDS:
-        p = sub.add_parser(name, help=help)
+    for name, summary, handler, basis_required, options in _COMMANDS:
+        p = sub.add_parser(name, help=summary)
         p.add_argument(
             "-b",
             "--basis",
