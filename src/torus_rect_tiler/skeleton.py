@@ -12,33 +12,43 @@ canonical points and the reduction's shifts run on it; only emitted values
 become fractions.  Each line family is read off the integer Hermite form
 {a*(d_x, 0) + b*(shear, g_y)} of the cleared lattice (``lattice.axis_form``),
 so locating a point on its line is one divmod and one remainder.  One
-placement (``_Placement``) maps axis segments (rectangle sides or skeleton
-edges) onto lines cut at the segment endpoints; the skeleton's edges, its
-cycle/path decomposition and the reduction's choice of path are all read off
-those lines' covered arcs and runs.
+placement (``_Placement``) holds axis segments (rectangle sides or skeleton
+edges) by torus line, each as its start and length along the line.  The
+certificate and the reduction read those endpoints directly; only the
+skeleton and its cycle/path decomposition cut lines into arcs at them
+(``_Placement.recut``) and read the covered arcs and their runs.
 
 Validity is certified by a degree argument (``_certify``).  Let f count the
 rectangles over each torus point.  Crossing a horizontal line upward, f
 gains the bottom sides over the crossing point and loses the top sides over
 it; vertical lines likewise with left and right sides.  So f is constant
-exactly when, on every line, each arc has as many bottom (left) as top
-(right) sides over it, and the area sum, the integral of f, then fixes the
-constant: f = 1 exactly when the areas sum to the covolume.  A side longer
-than its line's circumference, the period of its family, cannot occur in a
-tiling (its rectangle would meet its own translate by the period); it is
-refused before anything is placed, as placing it would list one arc per turn
-around the line.
+exactly when, on every line, the signed count of sides over each point
+(bottom or left +1, top or right -1) is 0.  That count changes only at side
+endpoints, so it is 0 everywhere exactly when, at every endpoint, the signs
+of the sides starting there balance those of the sides ending there, and the
+count over one fixed point, line position 0, is 0.  The area sum, the
+integral of f, then fixes the constant: f = 1 exactly when the areas sum to
+the covolume.  A side longer than its line's circumference, the period of
+its family, cannot occur in a tiling (its rectangle would meet its own
+translate by the period); it is refused before anything is placed, so each
+placed side lies over each point of its line at most once.
 
 The certificate is incremental: it applies box edits to a placement that
-held a tiling or nothing, and places and cuts again only the lines the
-edited sides leave or join.  Every other line still cancels, so the edited
-boxes tile exactly when their areas sum to the covolume and those lines
-cancel.  A whole tiling of n rectangles is certified as edits to an empty
-placement in O(n log n): each arc then lies under at most one bottom and one
-top side, so the sides cover O(n) arcs.  Only boxes the certificate refuses
-pay the O(n^2) scan of open difference boxes with ``lattice.box_points``
-(``_violations``) that writes the report.  The certificate's placement is
-the one the skeleton and the reduction read.
+held a tiling or nothing, and counts again only on the lines the edited
+sides leave or join.  Every other line still cancels, so the edited boxes
+tile exactly when their areas sum to the covolume and those lines cancel.  A
+whole tiling of n rectangles is certified as edits to an empty placement in
+O(n) dict operations with no sort: each side adds to the counts at its two
+endpoints and at most once to the count over position 0.  Only boxes the
+certificate refuses pay the O(n^2) scan of open difference boxes with
+``lattice.box_points`` (``_violations``) that writes the report.  The
+certificate's placement is the one the skeleton and the reduction read.
+
+On a line that cancels, the bottom (left) sides are disjoint and cover what
+the top (right) sides cover, so the line's maximal runs of sides start where
+a bottom side starts and no bottom side ends, and each run is the chain of
+bottom sides from its start (``_runs``).  A line with sides but no run start
+is an axis cycle.
 """
 
 from __future__ import annotations
@@ -144,8 +154,10 @@ def verify_tiling(tiling: Tiling) -> VerificationReport:
     on the torus iff a lattice point sits in their open difference box; and
     given those, coverage is equivalent to the areas summing to the covolume.
 
-    A valid tiling is recognised by the boundary-cancellation certificate of
-    the module docstring (``_certify``) with no pair scan; only a tiling it
+    A valid tiling is recognised with no pair scan and no sort by the
+    boundary-cancellation certificate of the module docstring (``_certify``):
+    the areas sum to the covolume and, on every line, the signed side counts
+    balance at each side endpoint and over position 0.  Only a tiling it
     refuses is scanned pair by pair, in O(n^2) box queries, for the report.
     """
     den, cleared, boxes = _clear(tiling)
@@ -266,17 +278,17 @@ _LineId = tuple[str, int]  # (orientation value, line key)
 
 
 class _Placement:
-    """Axis segments, each under its own key, mapped onto torus lines.
+    """Axis segments, each under its own key, held by torus line.
 
     A segment (orientation, x, y, length) runs from (x, y) in +x ("h") or
-    +y ("v").  Each line is cut at the endpoints of the segments on it, and a
-    segment covers the arcs from its start cut up to its end cut.  ``put`` and
-    ``drop`` change segments; ``recut`` rebuilds only the lines they touched,
-    so a caller that moves a few segments pays for the lines those segments
-    leave or join.  Lines are held by (orientation, line key), the line key
-    being the offset across the line modulo the spacing; segment values, line
-    keys, cuts and arc lengths are integers over the denominator of the
-    cleared basis.
+    +y ("v"); on its line it is (start, length), the start being its position
+    along the line in [0, period).  ``put`` and ``drop`` change segments and
+    record the lines they leave or join in ``touched``, so a caller that moves
+    a few segments checks only those lines.  ``recut`` cuts every line at its
+    segments' endpoints into the arcs the skeleton reads.  Lines are held by
+    (orientation, line key), the line key being the offset across the line
+    modulo the spacing; segment values, line keys, cuts and arc lengths are
+    integers over the denominator of the cleared basis.
     """
 
     def __init__(self, cleared: _Ints):
@@ -284,8 +296,6 @@ class _Placement:
         self.forms: dict[str, tuple[int, int, int]] | None = None
         self.on_line: dict[_LineId, dict] = {}  # line -> {key: (start, length)}
         self.line_of: dict = {}
-        self.arcs: dict = {}  # key -> the arcs its segment covers
-        self.lines: dict[_LineId, _Line] = {}
         self.touched: set[_LineId] = set()
 
     def form(self, orientation: str) -> tuple[int, int, int]:
@@ -320,35 +330,29 @@ class _Placement:
     def drop(self, key) -> None:
         line_id = self.line_of.pop(key)
         del self.on_line[line_id][key]
-        self.arcs.pop(key, None)
         self.touched.add(line_id)
 
-    def recut(self) -> list[_LineId]:
-        """Rebuild the lines touched since the last call and return them as
-        sorted ``_LineId``s; a line left without segments is removed."""
-        touched = sorted(self.touched)
-        self.touched.clear()
-        for line_id in touched:
-            segments = self.on_line[line_id]
-            if not segments:
-                del self.on_line[line_id]
-                self.lines.pop(line_id, None)
-                continue
+    def recut(self) -> tuple[dict[_LineId, _Line], dict]:
+        """Cut every line at the endpoints of its segments.  Returns the lines
+        by ``_LineId`` and, per segment key, the indices of the arcs its
+        segment covers."""
+        lines, arcs = {}, {}
+        for line_id, segments in self.on_line.items():
             period = self.form(line_id[0])[1]
             ends = {(start + n) % period for start, n in segments.values()}
             cuts = sorted(ends.union(start for start, _ in segments.values()))
-            line = self.lines[line_id] = _Line(period, cuts)
+            line = lines[line_id] = _Line(period, cuts)
             index = {c: i for i, c in enumerate(line.cuts)}
             for key, (start, remaining) in segments.items():
                 i = index[start]
-                arcs = []
+                covered = []
                 while remaining > 0:
-                    arcs.append(i)
+                    covered.append(i)
                     line.covered[i] = True
                     remaining -= line.arc_length(i)
                     i = (i + 1) % len(line.cuts)
-                self.arcs[key] = tuple(arcs)
-        return touched
+                arcs[key] = tuple(covered)
+        return lines, arcs
 
 
 def _sides(box: _Ints):
@@ -361,18 +365,30 @@ def _sides(box: _Ints):
 
 
 def _cancels(placement: _Placement, line_ids: Iterable[_LineId]) -> bool:
-    """Whether each arc of these lines has as many bottom (left) sides over
-    it as top (right) sides, with sides keyed (box id, index in ``_sides``)."""
+    """Whether every point of these lines has as many bottom (left) sides
+    over it as top (right) sides, with sides keyed (box id, index in
+    ``_sides``).  A line's signed count changes only at side endpoints, so it
+    is 0 everywhere when the signs balance at every endpoint and the count
+    over position 0 is 0; a side [start, start + length) lies over position 0
+    when it starts there or wraps past it.  Lines no longer placed are
+    skipped.
+    """
     for line_id in line_ids:
-        line = placement.lines.get(line_id)
-        if line is None:
+        segments = placement.on_line.get(line_id)
+        if segments is None:
             continue
-        count = [0] * len(line.cuts)
-        for key in placement.on_line[line_id]:
-            sign = -1 if key[1] % 2 else 1  # top and right sides are odd
-            for i in placement.arcs[key]:
-                count[i] += sign
-        if any(count):
+        period = placement.form(line_id[0])[1]
+        jumps: dict[int, int] = {}
+        over_zero = 0
+        for (_, side), (start, n) in segments.items():
+            sign = -1 if side % 2 else 1  # top and right sides are odd
+            end = start + n
+            if start == 0 or end > period:
+                over_zero += sign
+            jumps[start] = jumps.get(start, 0) + sign
+            end %= period
+            jumps[end] = jumps.get(end, 0) - sign
+        if over_zero or any(jumps.values()):
             return False
     return True
 
@@ -384,15 +400,18 @@ def _certify(
 ) -> list[_LineId] | None:
     """Apply the edits (box id -> new box, or None to drop the box) to
     ``boxes`` and to the placement of their sides, keyed (box id, index in
-    ``_sides``).  Returns the lines cut again, sorted, when the edited boxes
-    tile the torus, and None when they do not.
+    ``_sides``).  Returns the lines the edits touched, sorted, when the edited
+    boxes tile the torus, and None when they do not.  Lines left without
+    sides are dropped from the placement (but still returned), and
+    ``placement.touched`` is cleared; no line is cut into arcs.
 
     Exact, by the degree argument of the module docstring, when the boxes
     placed before either tiled the torus or were none: so a whole tiling is
     certified by applying ``dict(enumerate(boxes))`` to an empty placement.
-    The area test runs first and builds no line, then the side-length guard.
-    ``boxes`` holds the edited boxes even after None, but the placement is
-    then of no use.
+    The area test runs first and builds no line, then the side-length guard,
+    then the endpoint counts of ``_cancels`` on the touched lines.  ``boxes``
+    holds the edited boxes even after None, but the placement is then of no
+    use.
     """
     for k, box in edits.items():
         if box:
@@ -416,8 +435,42 @@ def _certify(
         else:
             for side in range(4):
                 placement.drop((k, side))
-    touched = placement.recut()
+    touched = sorted(placement.touched)
+    placement.touched.clear()
+    for line_id in touched:
+        if not placement.on_line[line_id]:
+            del placement.on_line[line_id]
     return touched if _cancels(placement, touched) else None
+
+
+def _runs(placement: _Placement, line_id: _LineId) -> list[tuple[int, int]]:
+    """The maximal runs of sides on a line that cancels, as (start, length)
+    sorted by start; [] when the sides close the line into a cycle.
+
+    The bottom (left) sides of such a line are disjoint and cover what its
+    top (right) sides cover, so a run starts where a bottom side starts and
+    no bottom side ends, and runs on through the bottom sides chained from
+    there, each starting where the last one ends.  Raises RuntimeError when
+    the line has sides but no bottom side, which a line that cancels cannot.
+    """
+    period = placement.form(line_id[0])[1]
+    bottoms = {
+        start: n
+        for (_, side), (start, n) in placement.on_line[line_id].items()
+        if not side % 2
+    }
+    if not bottoms:
+        raise RuntimeError(f"line {line_id} has sides but no bottom side")
+    ends = {(start + n) % period for start, n in bottoms.items()}
+    runs = []
+    for start in sorted(bottoms.keys() - ends):
+        length, at = 0, start
+        while at in bottoms:
+            n = bottoms[at]
+            length += n
+            at = (at + n) % period
+        runs.append((start, length))
+    return runs
 
 
 def _refuted(den: int, cleared: _Ints, boxes: list[_Ints]) -> list[Violation]:
@@ -446,25 +499,27 @@ def build_skeleton(tiling: Tiling) -> Skeleton:
     The total edge length equals the tiling length.
     """
     den, cleared, _, placement = _clear_valid(tiling)
-    lines = placement.lines
+    lines, _ = placement.recut()
     # Every cut is a corner image, and every corner lies on one H line.
-    vertices = set()
+    corners = set()
     edges = []
     for (orientation, key), line in lines.items():
         for i, cut in enumerate(line.cuts):
             x, y = (cut, key) if orientation == "h" else (key, cut)
             w = _canonical(cleared, x, y)
             if orientation == "h":
-                vertices.add(w)
+                corners.add(w)
             if line.covered[i]:
                 edges.append((orientation, w, line.arc_length(i)))
     edges.sort()
+    vertices = {w: _point(den, *w) for w in sorted(corners)}
+    lengths = {n: Fraction(n, den) for _, _, n in edges}
     return Skeleton(
         tiling.basis,
-        tuple(_point(den, *w) for w in sorted(vertices)),
+        tuple(vertices.values()),
         tuple(
-            SkeletonEdge(_point(den, *w), Orientation(axis), Fraction(length, den))
-            for axis, w, length in edges
+            SkeletonEdge(vertices[w], Orientation(axis), lengths[n])
+            for axis, w, n in edges
         ),
     )
 
@@ -501,17 +556,16 @@ def decompose_axis_paths(skeleton: Skeleton) -> AxisPathDecomposition:
         if length > placement.form(orientation)[1]:
             raise ValueError(f"skeleton edge {edge} is not one arc of its line")
         placement.put(k, orientation, x, y, length)
-    placement.recut()
+    lines, arcs = placement.recut()
     edge_at: dict[tuple[_LineId, int], SkeletonEdge] = {}
     for k, edge in enumerate(edges):
-        line_id, arcs = placement.line_of[k], placement.arcs[k]
-        if len(arcs) != 1 or (line_id, arcs[0]) in edge_at:
+        line_id, covered = placement.line_of[k], arcs[k]
+        if len(covered) != 1 or (line_id, covered[0]) in edge_at:
             raise ValueError(f"skeleton edge {edge} is not one arc of its line")
-        edge_at[line_id, arcs[0]] = edge
+        edge_at[line_id, covered[0]] = edge
 
     cycles = {"h": [], "v": []}
     paths = {"h": [], "v": []}
-    lines = placement.lines
     for line_id in sorted(lines):
         line = lines[line_id]
         found = cycles if all(line.covered) else paths
@@ -581,11 +635,15 @@ def reduce_tiling_with_trace(
     input's.
 
     The input and then each step are certified by the incremental
-    certificate of the module docstring (``_certify``), and the reduction
-    reads its placement of the sides.  No rectangle pair is scanned unless a
-    check fails: the input's or a step's failure raises with the full O(n^2)
-    verification report.  The reduced tiling is verified pair by pair once
-    more.
+    endpoint-count certificate of the module docstring (``_certify``), and
+    the reduction reads the certificate's placement of the sides without
+    cutting any line into arcs.  The runs of each line a step touched are
+    chained from its bottom (left) sides (``_runs``); the chosen path is the
+    run of least start on the least line of its axis, and a side lies on it
+    when its start is less than the run's length past the run's start, going
+    around the line.  No rectangle pair is scanned unless a check fails: the
+    input's or a step's failure raises with the full O(n^2) verification
+    report.  The reduced tiling is verified pair by pair once more.
 
     Raises CycleExistsError when the input has an axis cycle, and also when a
     step creates one (the message then names the step), since the shift
@@ -595,25 +653,25 @@ def reduce_tiling_with_trace(
     # indices of the boxes after an eliminated one drop.
     den, cleared, boxes, placement = _clear_valid(tiling)
     length = sum(map(_half_perimeter, boxes.values()))
-    runs: dict[_LineId, list[list[int]]] = {}
+    runs: dict[_LineId, list[tuple[int, int]]] = {}
     run_count = {"h": 0, "v": 0}
     steps: list[ReductionStep] = []
-    touched = sorted(placement.lines)
+    touched = sorted(placement.on_line)
     for _ in range(len(boxes) + 2):
         # Only a line a step touched can have closed into a cycle.
         for line_id in touched:
             run_count[line_id[0]] -= len(runs.pop(line_id, ()))
-            line = placement.lines.get(line_id)
-            if line is None:
+            if line_id not in placement.on_line:
                 continue
-            if all(line.covered):
+            line_runs = _runs(placement, line_id)
+            if not line_runs:
                 after = f" after step {len(steps)}" if steps else ""
                 raise CycleExistsError(
                     f"{line_id[0]}-cycle on line {Fraction(line_id[1], den)}"
                     f"{after}: the path-merging reduction does not apply"
                 )
-            runs[line_id] = line.runs()
-            run_count[line_id[0]] += len(runs[line_id])
+            runs[line_id] = line_runs
+            run_count[line_id[0]] += len(line_runs)
 
         if run_count["h"] > 1:
             orientation = "h"
@@ -621,22 +679,21 @@ def reduce_tiling_with_trace(
             orientation = "v"
         else:
             break
-        # The first run of the first line, in (line key, start cut) order.
+        # The first run of the first line, in (line key, start) order.
         target_line = min(line_id for line_id in runs if line_id[0] == orientation)
-        target_run = runs[target_line][0]
-        target_start = placement.lines[target_line].cuts[target_run[0]]
-        target_arcs = set(target_run)
+        target_start, target_length = runs[target_line][0]
+        period = placement.form(orientation)[1]
         # Index of the low and high side among a box's _sides, and of the
         # coordinates those sides sit at.
         lo_side, lo, hi = (0, 2, 3) if orientation == "h" else (2, 0, 1)
 
         # Per box id with a side on the path, whether its low and its high side are.
         on: dict[int, list[bool]] = {}
-        for box_id, side in placement.on_line[target_line]:
-            arcs = placement.arcs[box_id, side]
-            if target_arcs.isdisjoint(arcs):
+        for (box_id, side), (start, n) in placement.on_line[target_line].items():
+            offset = (start - target_start) % period
+            if offset >= target_length:
                 continue
-            if not target_arcs.issuperset(arcs):
+            if offset + n > target_length:
                 raise ReductionStepInvalidError(
                     "rectangle side straddles two maximal paths"
                 )

@@ -40,7 +40,9 @@ class Rect:
 
     def __post_init__(self):
         for name in ("x0", "x1", "y0", "y1"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+            value = getattr(self, name)
+            if type(value) is not Fraction:
+                object.__setattr__(self, name, Fraction(value))
         if not (self.x0 < self.x1 and self.y0 < self.y1):
             raise ValueError(
                 f"degenerate rectangle [{self.x0}, {self.x1}] x [{self.y0}, {self.y1}]"

@@ -140,11 +140,11 @@ def test_axis_form_matches_axis_periods_and_locate_is_lattice_invariant(kind):
                 placement = _Placement(cleared)
                 placement.put(0, orientation.value, px, py, length_int)
                 placement.put(1, orientation.value, qx, qy, length_int)
-                placement.recut()
-                placed = [(placement.line_of[k], placement.arcs[k]) for k in (0, 1)]
+                lines, arcs_of = placement.recut()
+                placed = [(placement.line_of[k], arcs_of[k]) for k in (0, 1)]
                 assert placed[0] == placed[1]
                 line_id, arcs = placed[0]
-                line = placement.lines[line_id]
+                line = lines[line_id]
                 key = Fraction(line_id[1], place_den)
                 coord = Fraction(line.cuts[arcs[0]], place_den)
                 assert 0 <= key < basis.covolume / d and 0 <= coord < d
@@ -225,6 +225,45 @@ def test_certificate_agrees_with_full_verification_on_edge_cases(monkeypatch):
     # A box that fails the area test or has a side longer than its line
     # places no side.
     assert edit_puts == [4, 4, 0, 4, 0, 0, 0]
+
+
+def test_certificate_counts_the_sides_over_line_position_zero():
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    one_rect = build_one_rect(SKEWED_23, Axis.X).rects[0]
+    low_half = Rect(one_rect.x0, one_rect.x1, 0, one_rect.y1 / 2)
+    shift = Vec2(Fraction(-1, 3), Fraction(2, 7))
+    wrapping = Rect(3 * quarter, 5 * quarter, 0, half)
+    cases = [
+        # The areas sum to the covolume and the signed sides balance at every
+        # endpoint, but each point of the lower half is covered twice: only
+        # the count over position 0 refuses these.
+        (Tiling(UNIT, (Rect(0, 1, 0, half),) * 2), False),
+        (Tiling(UNIT, (Rect(-half, half, 0, half),) * 2), False),
+        (Tiling(UNIT, (Rect(0, 1, 0, half), Rect(half, 3 * half, 0, half))), False),
+        (Tiling(UNIT, (Rect(0, half, 0, half), Rect(half, 1, 0, half)) * 2), False),
+        (Tiling(UNIT, (Rect(quarter, 3 * quarter, 0, half), wrapping) * 2), False),
+        (Tiling(SKEWED_23, (low_half,) * 2), False),
+        # Valid tilings whose sides start at position 0 or wrap past it.
+        (Tiling(UNIT, (Rect(0, 1, 0, half), Rect(half, 3 * half, half, 1))), True),
+        (Tiling(UNIT, (Rect(-half, half, -half, half),)), True),
+        (Tiling(UNIT, (Rect(-quarter, half, 0, 1), Rect(half, 3 * quarter, 0, 1))), True),
+        (
+            Tiling(
+                SKEWED_23,
+                tuple(
+                    Rect(r.x0 + shift.x, r.x1 + shift.x, r.y0 + shift.y, r.y1 + shift.y)
+                    for r in build_optimal(SKEWED_23).rects
+                ),
+            ),
+            True,
+        ),
+    ]
+    for t, valid in cases:
+        assert sum(r.area for r in t.rects) == t.basis.covolume
+        den, cleared, boxes = _clear(t)
+        whole = _certify(_Placement(cleared), {}, dict(enumerate(boxes)))
+        assert (whole is not None) == valid == (not _violations(den, cleared, boxes)), t
+        assert verify_tiling(t).valid == valid
 
 
 def test_certificate_refuses_a_side_that_wraps_its_line_before_placing(monkeypatch):
@@ -733,6 +772,87 @@ def test_reduction_scans_only_pairs_a_step_can_change(monkeypatch, count, full_r
     reduced, steps = reduce_tiling_with_trace(t)
     assert calls < full_recheck / 3
     assert replay_reduction(t, steps) == reduced
+
+
+def recut_runs(placement: _Placement) -> dict:
+    """Each line's runs (start, length) read off ``recut``'s arcs; [] for a cycle."""
+    lines, _ = placement.recut()
+    return {
+        line_id: []
+        if all(line.covered)
+        else [
+            (line.cuts[run[0]], sum(line.arc_length(i) for i in run))
+            for run in line.runs()
+        ]
+        for line_id, line in lines.items()
+    }
+
+
+@pytest.mark.parametrize("kind", ["integer", "rational"])
+def test_endpoint_chain_runs_match_the_recut_lines(monkeypatch, kind):
+    rng = random.Random(54 if kind == "integer" else 55)
+    certify = skeleton._certify
+    certified = 0
+
+    def checking(placement, boxes, edits):
+        # The input's certificate and each step's.
+        nonlocal certified
+        touched = certify(placement, boxes, edits)
+        if touched is not None:
+            chained = {
+                line_id: skeleton._runs(placement, line_id)
+                for line_id in placement.on_line
+            }
+            assert chained == recut_runs(placement)
+            certified += 1
+        return touched
+
+    monkeypatch.setattr(skeleton, "_certify", checking)
+    reduced = cycles = steps = 0
+    for _ in range(60):
+        if kind == "integer":
+            basis = random_int_basis(rng, bound=12)
+        else:
+            basis = random_rational_basis(rng)
+        t = random_split_tiling(rng, build_optimal(basis))
+        try:
+            _, trace = reduce_tiling_with_trace(t)
+        except CycleExistsError:
+            cycles += 1
+            continue
+        reduced += 1
+        steps += len(trace)
+    assert certified >= reduced + cycles + steps
+    assert reduced > 20 and cycles > 15 and steps > 60
+    # A top side alone cannot cancel; chaining its line is refused.
+    placement = _Placement((1, 0, 0, 1))
+    placement.put((0, 1), "h", 0, 0, 1)
+    with pytest.raises(RuntimeError, match="no bottom side"):
+        skeleton._runs(placement, ("h", 0))
+
+
+def test_only_the_skeleton_cuts_lines_into_arcs(monkeypatch):
+    calls = 0
+    recut = _Placement.recut
+
+    def counting(self):
+        nonlocal calls
+        calls += 1
+        return recut(self)
+
+    monkeypatch.setattr(_Placement, "recut", counting)
+    t = cycle_free_split_tiling(16, 16)
+    assert verify_tiling(t).valid
+    reduced, steps = reduce_tiling_with_trace(t)
+    assert steps and verify_tiling(reduced).valid
+    assert not verify_tiling(Tiling(UNIT, (Rect(0, 1, 0, Fraction(1, 2)),) * 2)).valid
+    with pytest.raises(CycleExistsError):
+        reduce_tiling_with_trace(build_one_rect(SKEWED_23, Axis.X))
+    with pytest.raises(InvalidTilingError):
+        reduce_tiling_with_trace(Tiling(UNIT, (Rect(0, 2, 0, 1),)))
+    assert calls == 0
+    build_skeleton(t)
+    assert calls == 1
 
 
 @pytest.mark.parametrize("count", [32, 64])
