@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from torus_rect_tiler import (
@@ -19,6 +20,16 @@ from torus_rect_tiler import (
     lattice_points_in_box,
     tiling_length,
     verify_tiling,
+)
+from torus_rect_tiler.exact_math import clear_denominators
+from torus_rect_tiler.skeleton import (
+    AxisPathDecomposition,
+    Skeleton,
+    SkeletonEdge,
+    _canonical,
+    _clear_valid,
+    _Placement,
+    _point,
 )
 
 
@@ -211,6 +222,135 @@ def brute_axis_decomposition(skeleton) -> dict:
             cycles.add(frozenset(cycle))
         result[orientation] = (cycles, paths)
     return result
+
+
+@dataclass
+class RecutLine:
+    """One torus line cut at its segments' endpoints: sorted cuts, and which
+    arcs between them are covered.  Arc i runs from cuts[i] to the next cut
+    around the circle."""
+
+    circumference: int
+    cuts: list[int]
+    covered: list[bool] = field(init=False)
+
+    def __post_init__(self):
+        self.covered = [False] * len(self.cuts)
+
+    def arc_length(self, i: int) -> int:
+        j = (i + 1) % len(self.cuts)
+        if j:
+            return self.cuts[j] - self.cuts[i]
+        return self.circumference - self.cuts[-1] + self.cuts[0]
+
+    def runs(self) -> list[list[int]]:
+        """Maximal runs of consecutive covered arcs: one run (a cycle) from
+        cut 0 when every arc is covered, else the runs (paths) ordered by
+        their first cut."""
+        m = len(self.covered)
+        if all(self.covered):
+            return [list(range(m))]
+        runs = []
+        for i in range(m):
+            if self.covered[i] and not self.covered[i - 1]:
+                run = [i]
+                j = (i + 1) % m
+                while self.covered[j]:
+                    run.append(j)
+                    j = (j + 1) % m
+                runs.append(run)
+        return runs
+
+
+def recut_lines(placement: _Placement) -> tuple[dict, dict]:
+    """Cut every line of a placement at its segments' endpoints, arc by arc.
+
+    Returns the ``RecutLine`` of each line id and, per segment key, the
+    indices of the arcs its segment covers.  Reads only ``on_line`` and the
+    line periods, and walks each segment over the arcs one by one, so it is
+    independent of the endpoint chains the skeleton reads.
+    """
+    lines, arcs = {}, {}
+    for line_id, segments in placement.on_line.items():
+        period = placement.form(line_id[0])[1]
+        ends = {(start + n) % period for start, n in segments.values()}
+        cuts = sorted(ends.union(start for start, _ in segments.values()))
+        line = lines[line_id] = RecutLine(period, cuts)
+        index = {c: i for i, c in enumerate(line.cuts)}
+        for key, (start, remaining) in segments.items():
+            i = index[start]
+            covered = []
+            while remaining > 0:
+                covered.append(i)
+                line.covered[i] = True
+                remaining -= line.arc_length(i)
+                i = (i + 1) % len(line.cuts)
+            arcs[key] = tuple(covered)
+    return lines, arcs
+
+
+def recut_skeleton(tiling: Tiling) -> Skeleton:
+    """``build_skeleton`` read off ``recut_lines``: an edge per covered arc."""
+    den, cleared, _, placement = _clear_valid(tiling)
+    lines, _ = recut_lines(placement)
+    corners, edges = set(), []
+    for (orientation, key), line in lines.items():
+        for i, cut in enumerate(line.cuts):
+            x, y = (cut, key) if orientation == "h" else (key, cut)
+            w = _canonical(cleared, x, y)
+            if orientation == "h":
+                corners.add(w)
+            if line.covered[i]:
+                edges.append((orientation, w, line.arc_length(i)))
+    edges.sort()
+    vertices = {w: _point(den, *w) for w in sorted(corners)}
+    return Skeleton(
+        tiling.basis,
+        tuple(vertices.values()),
+        tuple(
+            SkeletonEdge(vertices[w], Orientation(axis), Fraction(n, den))
+            for axis, w, n in edges
+        ),
+    )
+
+
+def recut_decomposition(skeleton: Skeleton) -> AxisPathDecomposition:
+    """``decompose_axis_paths`` read off ``recut_lines``: an edge must cover
+    exactly one arc, and no arc twice; a line whose arcs are all covered is a
+    cycle, and every other line gives its runs as paths."""
+    edges = skeleton.edges
+    _, ints = clear_denominators(
+        *skeleton.basis.entries,
+        *(c for e in edges for c in (e.origin.rep.x, e.origin.rep.y, e.length)),
+    )
+    placement = _Placement(ints[:4])
+    for k, edge in enumerate(edges):
+        orientation = edge.orientation.value
+        x, y, length = ints[4 + 3 * k : 7 + 3 * k]
+        if length > placement.form(orientation)[1]:
+            raise ValueError(f"skeleton edge {edge} is not one arc of its line")
+        placement.put(k, orientation, x, y, length)
+    lines, arcs = recut_lines(placement)
+    edge_at = {}
+    for k, edge in enumerate(edges):
+        line_id, covered = placement.line_of[k], arcs[k]
+        if len(covered) != 1 or (line_id, covered[0]) in edge_at:
+            raise ValueError(f"skeleton edge {edge} is not one arc of its line")
+        edge_at[line_id, covered[0]] = edge
+    found = {True: {"h": [], "v": []}, False: {"h": [], "v": []}}
+    for line_id in sorted(lines):
+        line = lines[line_id]
+        for run in line.runs():
+            found[all(line.covered)][line_id[0]].append(
+                tuple(edge_at[line_id, i] for i in run)
+            )
+    cycles, paths = found[True], found[False]
+    return AxisPathDecomposition(
+        cycles_h=tuple(cycles["h"]),
+        paths_h=tuple(paths["h"]),
+        cycles_v=tuple(cycles["v"]),
+        paths_v=tuple(paths["v"]),
+    )
 
 
 def replay_reduction(tiling: Tiling, steps) -> Tiling:

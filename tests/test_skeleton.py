@@ -53,6 +53,8 @@ from conftest import (
     random_rational,
     random_rational_basis,
     random_split_tiling,
+    recut_decomposition,
+    recut_skeleton,
     replay_reduction,
 )
 
@@ -484,6 +486,62 @@ def test_decomposition_agrees_with_endpoint_chaining_oracle():
         elif len(base.rects) == 2:
             cycle_free += 1
     assert cycle_free > 10 and with_cycles > 10
+
+
+def mutated_skeletons(rng: random.Random, sk: Skeleton):
+    """Hand-broken copies of a skeleton: one edge's length times 2, 1/2, 0
+    or -1; one edge duplicated; one edge dropped and the rest shuffled."""
+    edges = list(sk.edges)
+
+    def with_edges(new_edges):
+        return Skeleton(sk.basis, sk.vertices, tuple(new_edges))
+
+    for scale in (2, Fraction(1, 2), 0, -1):
+        i = rng.randrange(len(edges))
+        e = edges[i]
+        scaled = SkeletonEdge(e.origin, e.orientation, e.length * scale)
+        yield with_edges(edges[:i] + [scaled] + edges[i + 1 :])
+    duplicated = list(edges)
+    duplicated.insert(rng.randrange(len(edges) + 1), rng.choice(edges))
+    yield with_edges(duplicated)
+    dropped = list(edges)
+    del dropped[rng.randrange(len(edges))]
+    rng.shuffle(dropped)
+    yield with_edges(dropped)
+
+
+def result_or_refusal(function, argument):
+    try:
+        return function(argument)
+    except ValueError as error:
+        return f"ValueError: {error}"
+
+
+@pytest.mark.parametrize("kind", ["integer", "rational"])
+def test_refused_skeletons_name_the_edge_the_recut_lines_name(kind):
+    rng = random.Random(56 if kind == "integer" else 57)
+    refused = accepted = with_cycles = 0
+    for trial in range(50):
+        if kind == "integer":
+            basis = random_int_basis(rng, bound=12)
+        else:
+            basis = random_rational_basis(rng)
+        base = build_one_rect(basis, Axis.X) if trial % 2 else build_optimal(basis)
+        t = random_split_tiling(rng, base, max_splits=5)
+        sk = build_skeleton(t)
+        assert sk == recut_skeleton(t)
+        dec = decompose_axis_paths(sk)
+        assert dec == recut_decomposition(sk)
+        with_cycles += bool(dec.cycles_h or dec.cycles_v)
+        for mutant in mutated_skeletons(rng, sk):
+            got = result_or_refusal(decompose_axis_paths, mutant)
+            assert got == result_or_refusal(recut_decomposition, mutant)
+            if isinstance(got, str):
+                assert got.endswith("is not one arc of its line")
+                refused += 1
+            else:
+                accepted += 1
+    assert refused > 100 and accepted > 50 and with_cycles > 15
 
 
 def test_every_edge_lands_in_exactly_one_group():
