@@ -14,6 +14,7 @@ from torus_rect_tiler import (
     TorusPoint,
     Vec2,
     basis_coordinates,
+    decompose_axis_paths,
     enumerate_lattice_points,
     l1_norm,
     lattice_point,
@@ -351,6 +352,21 @@ def recut_decomposition(skeleton: Skeleton) -> AxisPathDecomposition:
         cycles_v=tuple(cycles["v"]),
         paths_v=tuple(paths["v"]),
     )
+
+
+def assert_matches_brute_decomposition(skeleton) -> None:
+    """``decompose_axis_paths`` groups the edges as ``brute_axis_decomposition``
+    does: the same cycles, as edge sets, and the same paths, in edge order."""
+    dec = decompose_axis_paths(skeleton)
+    oracle = brute_axis_decomposition(skeleton)
+    for orientation, cycles, paths in (
+        (Orientation.H, dec.cycles_h, dec.paths_h),
+        (Orientation.V, dec.cycles_v, dec.paths_v),
+    ):
+        want_cycles, want_paths = oracle[orientation]
+        assert len(cycles) == len(want_cycles) and len(paths) == len(want_paths)
+        assert {frozenset(c) for c in cycles} == want_cycles
+        assert set(paths) == want_paths
 
 
 def replay_reduction(tiling: Tiling, steps) -> Tiling:
