@@ -13,10 +13,10 @@ become fractions.  Each line family is read off the integer Hermite form
 {a*(d_x, 0) + b*(shear, g_y)} of the cleared lattice (``lattice.axis_form``),
 so locating a point on its line is one divmod and one remainder.  One
 placement (``_Placement``) holds axis segments (rectangle sides or skeleton
-edges) by torus line, each as its start and length along the line.  The
-certificate and the reduction read those endpoints directly; only the
-skeleton and its cycle/path decomposition cut lines into arcs at them
-(``_Placement.recut``) and read the covered arcs and their runs.
+edges) by torus line, each as its start and length along the line: the one
+model of a line.  The certificate counts segment endpoints; the other
+readers link segments end to start (``_chains``) or cut a line into arcs at
+the sorted endpoints (``_cuts``).
 
 Validity is certified by a degree argument (``_certify``).  Let f count the
 rectangles over each torus point.  Crossing a horizontal line upward, f
@@ -45,18 +45,18 @@ certificate refuses pay the O(n^2) scan of open difference boxes with
 certificate's placement is the one the skeleton and the reduction read.
 
 On a line that cancels, the bottom (left) sides are disjoint and cover what
-the top (right) sides cover, so the line's maximal runs of sides start where
-a bottom side starts and no bottom side ends, and each run is the chain of
-bottom sides from its start (``_runs``).  A line with sides but no run start
-is an axis cycle.
+the top (right) sides cover.  So the line's maximal runs of sides are the
+chains of its bottom sides (``_runs``), an arc between two cuts is covered
+exactly when a bottom side covers it (``build_skeleton``), and the line is
+an axis cycle exactly when its bottom sides sum to its period.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable
+from typing import Collection, Iterable, Iterator
 
 from .exact_math import Vec2, clear_denominators
 from .lattice import LatticeBasis, axis_form, box_points
@@ -233,47 +233,6 @@ class Skeleton:
 # Torus lines shared by skeleton construction, decomposition and reduction
 
 
-@dataclass
-class _Line:
-    """One torus line: sorted cut positions and which arcs between them are covered.
-
-    Arc i runs from cuts[i] to the next cut around the circle.
-    """
-
-    circumference: int
-    cuts: list[int]
-    covered: list[bool] = field(init=False)
-
-    def __post_init__(self):
-        self.covered = [False] * len(self.cuts)
-
-    def arc_length(self, i: int) -> int:
-        j = (i + 1) % len(self.cuts)
-        if j:
-            return self.cuts[j] - self.cuts[i]
-        return self.circumference - self.cuts[-1] + self.cuts[0]
-
-    def runs(self) -> list[list[int]]:
-        """Maximal runs of consecutive covered arcs.
-
-        A fully covered line is one run (a cycle) starting at cut 0; otherwise
-        the runs (paths) come ordered by their first cut.
-        """
-        m = len(self.covered)
-        if all(self.covered):
-            return [list(range(m))]
-        runs = []
-        for i in range(m):
-            if self.covered[i] and not self.covered[i - 1]:
-                run = [i]
-                j = (i + 1) % m
-                while self.covered[j]:
-                    run.append(j)
-                    j = (j + 1) % m
-                runs.append(run)
-        return runs
-
-
 _LineId = tuple[str, int]  # (orientation value, line key)
 
 
@@ -284,11 +243,10 @@ class _Placement:
     +y ("v"); on its line it is (start, length), the start being its position
     along the line in [0, period).  ``put`` and ``drop`` change segments and
     record the lines they leave or join in ``touched``, so a caller that moves
-    a few segments checks only those lines.  ``recut`` cuts every line at its
-    segments' endpoints into the arcs the skeleton reads.  Lines are held by
-    (orientation, line key), the line key being the offset across the line
-    modulo the spacing; segment values, line keys, cuts and arc lengths are
-    integers over the denominator of the cleared basis.
+    a few segments checks only those lines.  Lines are held by (orientation,
+    line key), the line key being the offset across the line modulo the
+    spacing; segment values, line keys, cuts and arc lengths are integers over
+    the denominator of the cleared basis.
     """
 
     def __init__(self, cleared: _Ints):
@@ -332,27 +290,34 @@ class _Placement:
         del self.on_line[line_id][key]
         self.touched.add(line_id)
 
-    def recut(self) -> tuple[dict[_LineId, _Line], dict]:
-        """Cut every line at the endpoints of its segments.  Returns the lines
-        by ``_LineId`` and, per segment key, the indices of the arcs its
-        segment covers."""
-        lines, arcs = {}, {}
-        for line_id, segments in self.on_line.items():
-            period = self.form(line_id[0])[1]
-            ends = {(start + n) % period for start, n in segments.values()}
-            cuts = sorted(ends.union(start for start, _ in segments.values()))
-            line = lines[line_id] = _Line(period, cuts)
-            index = {c: i for i, c in enumerate(line.cuts)}
-            for key, (start, remaining) in segments.items():
-                i = index[start]
-                covered = []
-                while remaining > 0:
-                    covered.append(i)
-                    line.covered[i] = True
-                    remaining -= line.arc_length(i)
-                    i = (i + 1) % len(line.cuts)
-                arcs[key] = tuple(covered)
-        return lines, arcs
+
+def _chains(segments: dict[int, int], period: int) -> Iterator[list[int]]:
+    """The chains of disjoint segments {start: length} on a line, as lists of
+    starts.  A chain begins at each start that is no segment's end, in sorted
+    order, and runs on while its end is a start.  When every start is an end,
+    the segments close the line into one chain, from the least start.
+    """
+    ends = {(start + n) % period for start, n in segments.items()}
+    for head in sorted(segments.keys() - ends) or [min(segments)]:
+        chain = [head]
+        at = (head + segments[head]) % period
+        while at != head and at in segments:
+            chain.append(at)
+            at = (at + segments[at]) % period
+        yield chain
+
+
+def _cuts(segments: Collection[tuple[int, int]], period: int) -> dict[int, int]:
+    """The endpoints of (start, length) segments on a line, sorted, each
+    mapped to the length of the arc to the next endpoint around the line."""
+    ends = {(start + n) % period for start, n in segments}
+    cuts = sorted(ends.union(start for start, _ in segments))
+    return {a: b - a for a, b in zip(cuts, cuts[1:] + [cuts[0] + period])}
+
+
+def _bottoms(segments: dict) -> dict[int, int]:
+    # The bottom (left) sides {start: length} of sides keyed (box id, side).
+    return {start: n for (_, side), (start, n) in segments.items() if not side % 2}
 
 
 def _sides(box: _Ints):
@@ -445,32 +410,21 @@ def _certify(
 
 def _runs(placement: _Placement, line_id: _LineId) -> list[tuple[int, int]]:
     """The maximal runs of sides on a line that cancels, as (start, length)
-    sorted by start; [] when the sides close the line into a cycle.
-
-    The bottom (left) sides of such a line are disjoint and cover what its
-    top (right) sides cover, so a run starts where a bottom side starts and
-    no bottom side ends, and runs on through the bottom sides chained from
-    there, each starting where the last one ends.  Raises RuntimeError when
-    the line has sides but no bottom side, which a line that cancels cannot.
+    sorted by start; [] when the sides close the line into a cycle.  They
+    are the ``_chains`` of its bottom (left) sides (module docstring).
+    Raises RuntimeError when the line has sides but no bottom side, which a
+    line that cancels cannot.
     """
     period = placement.form(line_id[0])[1]
-    bottoms = {
-        start: n
-        for (_, side), (start, n) in placement.on_line[line_id].items()
-        if not side % 2
-    }
+    bottoms = _bottoms(placement.on_line[line_id])
     if not bottoms:
         raise RuntimeError(f"line {line_id} has sides but no bottom side")
-    ends = {(start + n) % period for start, n in bottoms.items()}
-    runs = []
-    for start in sorted(bottoms.keys() - ends):
-        length, at = 0, start
-        while at in bottoms:
-            n = bottoms[at]
-            length += n
-            at = (at + n) % period
-        runs.append((start, length))
-    return runs
+    if sum(bottoms.values()) == period:
+        return []
+    return [
+        (chain[0], sum(bottoms[start] for start in chain))
+        for chain in _chains(bottoms, period)
+    ]
 
 
 def _refuted(den: int, cleared: _Ints, boxes: list[_Ints]) -> list[Violation]:
@@ -497,20 +451,29 @@ def build_skeleton(tiling: Tiling) -> Skeleton:
     Each rectangle side is split at every vertex lying on its line, and
     coinciding pieces from adjacent rectangles merge into one atomic edge.
     The total edge length equals the tiling length.
+
+    Each placed line is cut at its sides' endpoints (``_cuts``, one sort of
+    them).  The arc from a cut is an edge when the bottom (left) side with
+    the latest start at or before the cut, around the line, covers it: on a
+    line that cancels the bottom sides are disjoint and cover every side.
     """
     den, cleared, _, placement = _clear_valid(tiling)
-    lines, _ = placement.recut()
     # Every cut is a corner image, and every corner lies on one H line.
     corners = set()
     edges = []
-    for (orientation, key), line in lines.items():
-        for i, cut in enumerate(line.cuts):
+    for (orientation, key), segments in placement.on_line.items():
+        period = placement.form(orientation)[1]
+        bottoms = _bottoms(segments)
+        last = max(bottoms)  # the latest bottom start before the first cut
+        for cut, arc in _cuts(segments.values(), period).items():
             x, y = (cut, key) if orientation == "h" else (key, cut)
             w = _canonical(cleared, x, y)
             if orientation == "h":
                 corners.add(w)
-            if line.covered[i]:
-                edges.append((orientation, w, line.arc_length(i)))
+            if cut in bottoms:
+                last = cut
+            if (cut - last) % period < bottoms[last]:
+                edges.append((orientation, w, arc))
     edges.sort()
     vertices = {w: _point(den, *w) for w in sorted(corners)}
     lengths = {n: Fraction(n, den) for _, _, n in edges}
@@ -535,14 +498,14 @@ class AxisPathDecomposition:
 
 
 def decompose_axis_paths(skeleton: Skeleton) -> AxisPathDecomposition:
-    """Place each edge on its torus line and read off the covered runs.
+    """Place each edge on its torus line and chain the edges end to start.
 
-    A line whose covered arcs close the full circle is a cycle (its length is
-    then the axis period); otherwise each maximal run of consecutive arcs is
-    one maximal path.  Raises ValueError when an edge is not exactly one arc
-    of its line, or two edges cover the same arc (a hand-built skeleton).  An
-    edge longer than its line's circumference is refused before it is placed,
-    which would list one arc per turn around the line.
+    Each line is cut at its edges' endpoints (``_cuts``, one sort of them).
+    Raises ValueError at the first edge longer than its line, and then at the
+    first edge, in input order, that is not one arc of its line: its length
+    is not the arc's from its start, or an earlier edge took that start.  A
+    line whose arcs all hold an edge is one cycle (its length is the axis
+    period); every other line gives its ``_chains`` as maximal paths.
     """
     edges = skeleton.edges
     _, ints = clear_denominators(
@@ -556,21 +519,26 @@ def decompose_axis_paths(skeleton: Skeleton) -> AxisPathDecomposition:
         if length > placement.form(orientation)[1]:
             raise ValueError(f"skeleton edge {edge} is not one arc of its line")
         placement.put(k, orientation, x, y, length)
-    lines, arcs = placement.recut()
-    edge_at: dict[tuple[_LineId, int], SkeletonEdge] = {}
+    cuts = {
+        line_id: _cuts(segments.values(), placement.form(line_id[0])[1])
+        for line_id, segments in placement.on_line.items()
+    }
+    edge_at: dict[_LineId, dict[int, SkeletonEdge]] = {line_id: {} for line_id in cuts}
     for k, edge in enumerate(edges):
-        line_id, covered = placement.line_of[k], arcs[k]
-        if len(covered) != 1 or (line_id, covered[0]) in edge_at:
+        line_id = placement.line_of[k]
+        start, n = placement.on_line[line_id][k]
+        if n != cuts[line_id][start] or start in edge_at[line_id]:
             raise ValueError(f"skeleton edge {edge} is not one arc of its line")
-        edge_at[line_id, covered[0]] = edge
+        edge_at[line_id][start] = edge
 
     cycles = {"h": [], "v": []}
     paths = {"h": [], "v": []}
-    for line_id in sorted(lines):
-        line = lines[line_id]
-        found = cycles if all(line.covered) else paths
-        for run in line.runs():
-            found[line_id[0]].append(tuple(edge_at[line_id, i] for i in run))
+    for line_id in sorted(edge_at):
+        at, arcs = edge_at[line_id], cuts[line_id]
+        found = cycles if len(at) == len(arcs) else paths
+        segments = {start: arcs[start] for start in at}
+        for chain in _chains(segments, placement.form(line_id[0])[1]):
+            found[line_id[0]].append(tuple(at[start] for start in chain))
     return AxisPathDecomposition(
         cycles_h=tuple(cycles["h"]),
         paths_h=tuple(paths["h"]),

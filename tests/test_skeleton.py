@@ -54,6 +54,7 @@ from conftest import (
     random_rational_basis,
     random_split_tiling,
     recut_decomposition,
+    recut_lines,
     recut_skeleton,
     replay_reduction,
 )
@@ -142,15 +143,16 @@ def test_axis_form_matches_axis_periods_and_locate_is_lattice_invariant(kind):
                 placement = _Placement(cleared)
                 placement.put(0, orientation.value, px, py, length_int)
                 placement.put(1, orientation.value, qx, qy, length_int)
-                lines, arcs_of = placement.recut()
-                placed = [(placement.line_of[k], arcs_of[k]) for k in (0, 1)]
+                placed = [
+                    (placement.line_of[k], placement.on_line[placement.line_of[k]][k])
+                    for k in (0, 1)
+                ]
                 assert placed[0] == placed[1]
-                line_id, arcs = placed[0]
-                line = lines[line_id]
+                line_id, (start, _) = placed[0]
                 key = Fraction(line_id[1], place_den)
-                coord = Fraction(line.cuts[arcs[0]], place_den)
+                coord = Fraction(start, place_den)
                 assert 0 <= key < basis.covolume / d and 0 <= coord < d
-                assert Fraction(line.circumference, place_den) == d
+                assert Fraction(placement.form(orientation.value)[1], place_den) == d
                 assert contains(basis, (Vec2(coord, key) if h_line else Vec2(key, coord)) - p)
 
 
@@ -825,8 +827,9 @@ def test_reduction_scans_only_pairs_a_step_can_change(monkeypatch, count, full_r
 
 
 def recut_runs(placement: _Placement) -> dict:
-    """Each line's runs (start, length) read off ``recut``'s arcs; [] for a cycle."""
-    lines, _ = placement.recut()
+    """Each line's runs (start, length) read off ``recut_lines``' arcs; [] for
+    a cycle."""
+    lines, _ = recut_lines(placement)
     return {
         line_id: []
         if all(line.covered)
@@ -883,14 +886,14 @@ def test_endpoint_chain_runs_match_the_recut_lines(monkeypatch, kind):
 
 def test_only_the_skeleton_cuts_lines_into_arcs(monkeypatch):
     calls = 0
-    recut = _Placement.recut
+    cuts = skeleton._cuts
 
-    def counting(self):
+    def counting(*args):
         nonlocal calls
         calls += 1
-        return recut(self)
+        return cuts(*args)
 
-    monkeypatch.setattr(_Placement, "recut", counting)
+    monkeypatch.setattr(skeleton, "_cuts", counting)
     t = cycle_free_split_tiling(16, 16)
     assert verify_tiling(t).valid
     reduced, steps = reduce_tiling_with_trace(t)
@@ -902,7 +905,7 @@ def test_only_the_skeleton_cuts_lines_into_arcs(monkeypatch):
         reduce_tiling_with_trace(Tiling(UNIT, (Rect(0, 2, 0, 1),)))
     assert calls == 0
     build_skeleton(t)
-    assert calls == 1
+    assert calls == len(skeleton._clear_valid(t)[3].on_line) > 2
 
 
 @pytest.mark.parametrize("count", [32, 64])
