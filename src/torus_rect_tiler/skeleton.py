@@ -46,9 +46,9 @@ certificate's placement is the one the skeleton and the reduction read.
 
 On a line that cancels, the bottom (left) sides are disjoint and cover what
 the top (right) sides cover.  So the line's maximal runs of sides are the
-chains of its bottom sides (``_runs``), an arc between two cuts is covered
-exactly when a bottom side covers it (``build_skeleton``), and the line is
-an axis cycle exactly when its bottom sides sum to its period.
+chains of its bottom sides (``_runs``; an axis cycle when one runs the whole
+line), and an arc between two cuts is covered exactly when a bottom side
+covers it (``build_skeleton``).
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Collection, Iterable, Iterator
+from typing import Collection, Iterable
 
 from .exact_math import Vec2, clear_denominators
 from .lattice import LatticeBasis, axis_form, box_points
@@ -291,20 +291,21 @@ class _Placement:
         self.touched.add(line_id)
 
 
-def _chains(segments: dict[int, int], period: int) -> Iterator[list[int]]:
+def _chains(segments: dict[int, int], period: int) -> list[list[int]]:
     """The chains of disjoint segments {start: length} on a line, as lists of
     starts.  A chain begins at each start that is no segment's end, in sorted
     order, and runs on while its end is a start.  When every start is an end,
-    the segments close the line into one chain, from the least start.
-    """
+    the segments close the line into one chain, from the least start."""
     ends = {(start + n) % period for start, n in segments.items()}
+    chains = []
     for head in sorted(segments.keys() - ends) or [min(segments)]:
         chain = [head]
         at = (head + segments[head]) % period
         while at != head and at in segments:
             chain.append(at)
             at = (at + segments[at]) % period
-        yield chain
+        chains.append(chain)
+    return chains
 
 
 def _cuts(segments: Collection[tuple[int, int]], period: int) -> dict[int, int]:
@@ -410,8 +411,9 @@ def _certify(
 
 def _runs(placement: _Placement, line_id: _LineId) -> list[tuple[int, int]]:
     """The maximal runs of sides on a line that cancels, as (start, length)
-    sorted by start; [] when the sides close the line into a cycle.  They
-    are the ``_chains`` of its bottom (left) sides (module docstring).
+    sorted by start; [] when the sides close the line into a cycle.  They are
+    the ``_chains`` of its bottom (left) sides (module docstring), each from
+    its first start to its last end: 0 modulo the period only for a cycle.
     Raises RuntimeError when the line has sides but no bottom side, which a
     line that cancels cannot.
     """
@@ -419,12 +421,11 @@ def _runs(placement: _Placement, line_id: _LineId) -> list[tuple[int, int]]:
     bottoms = _bottoms(placement.on_line[line_id])
     if not bottoms:
         raise RuntimeError(f"line {line_id} has sides but no bottom side")
-    if sum(bottoms.values()) == period:
-        return []
-    return [
-        (chain[0], sum(bottoms[start] for start in chain))
+    runs = [
+        (chain[0], (chain[-1] + bottoms[chain[-1]] - chain[0]) % period)
         for chain in _chains(bottoms, period)
     ]
+    return runs if runs[0][1] else []
 
 
 def _refuted(den: int, cleared: _Ints, boxes: list[_Ints]) -> list[Violation]:
@@ -503,9 +504,9 @@ def decompose_axis_paths(skeleton: Skeleton) -> AxisPathDecomposition:
     Each line is cut at its edges' endpoints (``_cuts``, one sort of them).
     Raises ValueError at the first edge longer than its line, and then at the
     first edge, in input order, that is not one arc of its line: its length
-    is not the arc's from its start, or an earlier edge took that start.  A
-    line whose arcs all hold an edge is one cycle (its length is the axis
-    period); every other line gives its ``_chains`` as maximal paths.
+    is not the arc's from its start, or an earlier edge took that start.  The
+    ``_chains`` of a line whose arcs all hold an edge are one cycle, of the
+    axis period; those of every other line are maximal paths.
     """
     edges = skeleton.edges
     _, ints = clear_denominators(
@@ -519,26 +520,27 @@ def decompose_axis_paths(skeleton: Skeleton) -> AxisPathDecomposition:
         if length > placement.form(orientation)[1]:
             raise ValueError(f"skeleton edge {edge} is not one arc of its line")
         placement.put(k, orientation, x, y, length)
-    cuts = {
-        line_id: _cuts(segments.values(), placement.form(line_id[0])[1])
-        for line_id, segments in placement.on_line.items()
-    }
-    edge_at: dict[_LineId, dict[int, SkeletonEdge]] = {line_id: {} for line_id in cuts}
-    for k, edge in enumerate(edges):
-        line_id = placement.line_of[k]
-        start, n = placement.on_line[line_id][k]
-        if n != cuts[line_id][start] or start in edge_at[line_id]:
-            raise ValueError(f"skeleton edge {edge} is not one arc of its line")
-        edge_at[line_id][start] = edge
-
     cycles = {"h": [], "v": []}
     paths = {"h": [], "v": []}
-    for line_id in sorted(edge_at):
-        at, arcs = edge_at[line_id], cuts[line_id]
-        found = cycles if len(at) == len(arcs) else paths
-        segments = {start: arcs[start] for start in at}
-        for chain in _chains(segments, placement.form(line_id[0])[1]):
-            found[line_id[0]].append(tuple(at[start] for start in chain))
+    # A line holds its edges in input order, so the least of the first edges
+    # refused on each line is the first refused in input order.
+    refused = []
+    for (orientation, _), segments in sorted(placement.on_line.items()):
+        period = placement.form(orientation)[1]
+        arcs = _cuts(segments.values(), period)
+        at, lengths = {}, {}  # the line's edges and their lengths, by start
+        for k, (start, n) in segments.items():
+            if n != arcs[start] or start in at:
+                refused.append(k)
+                break
+            at[start], lengths[start] = edges[k], n
+        else:
+            found = cycles if len(at) == len(arcs) else paths
+            for chain in _chains(lengths, period):
+                found[orientation].append(tuple(map(at.__getitem__, chain)))
+    if refused:
+        edge = edges[min(refused)]
+        raise ValueError(f"skeleton edge {edge} is not one arc of its line")
     return AxisPathDecomposition(
         cycles_h=tuple(cycles["h"]),
         paths_h=tuple(paths["h"]),
