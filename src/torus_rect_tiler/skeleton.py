@@ -455,8 +455,8 @@ def build_skeleton(tiling: Tiling) -> Skeleton:
 
     Each placed line is cut at its sides' endpoints (``_cuts``, one sort of
     them).  The arc from a cut is an edge when the bottom (left) side with
-    the latest start at or before the cut, around the line, covers it: on a
-    line that cancels the bottom sides are disjoint and cover every side.
+    the latest start at or before it, around the line, covers it: on a line
+    that cancels the bottom sides are disjoint and cover all that is covered.
     """
     den, cleared, _, placement = _clear_valid(tiling)
     # Every cut is a corner image, and every corner lies on one H line.
