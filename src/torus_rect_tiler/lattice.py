@@ -1,5 +1,5 @@
-"""Planar lattice algebra: covolume, membership, bounded point enumeration,
-shortest sign-class vectors, axis periods, and the minimum tiling length.
+"""Planar lattice algebra: covolume, bounded point enumeration, shortest
+sign-class vectors, axis periods, and the minimum tiling length.
 
 A lattice is given by an ordered basis pair {u, v} with nonzero determinant.
 All searches are certified exact: enumeration bounds come from the l1 operator
@@ -55,14 +55,6 @@ class LatticeBasis:
         return abs(self.det)
 
 
-def basis_coordinates(basis: LatticeBasis, point: Vec2) -> tuple[Fraction, Fraction]:
-    """Unique rational (z1, z2) with point = z1*u + z2*v."""
-    det = basis.det
-    z1 = (point.x * basis.v.y - point.y * basis.v.x) / det
-    z2 = (basis.u.x * point.y - basis.u.y * point.x) / det
-    return z1, z2
-
-
 def lattice_point(basis: LatticeBasis, z1, z2) -> Vec2:
     """The lattice point z1*u + z2*v."""
     z1, z2 = Fraction(z1), Fraction(z2)
@@ -70,12 +62,6 @@ def lattice_point(basis: LatticeBasis, z1, z2) -> Vec2:
         z1 * basis.u.x + z2 * basis.v.x,
         z1 * basis.u.y + z2 * basis.v.y,
     )
-
-
-def contains(basis: LatticeBasis, point: Vec2) -> bool:
-    """True iff point is an integer combination of the basis vectors."""
-    z1, z2 = basis_coordinates(basis, point)
-    return z1.denominator == 1 and z2.denominator == 1
 
 
 def _inverse_l1_norm(basis: LatticeBasis) -> Fraction:
@@ -155,20 +141,15 @@ def box_points(
             yield z1 * ux + z2 * vx, z1 * uy + z2 * vy
 
 
-def lattice_points_in_box(
-    basis: LatticeBasis, x_lo, x_hi, y_lo, y_hi, strict: bool = False
-) -> list[Vec2]:
-    """Lattice points inside the axis-aligned box, sorted by (x, y).
+def lattice_points_in_box(basis: LatticeBasis, x_lo, x_hi, y_lo, y_hi) -> list[Vec2]:
+    """Lattice points inside the closed axis-aligned box, sorted by (x, y).
 
-    With strict=True the box is open.  The basis and the bounds are cleared to
-    integers over one denominator, where an open bound is the closed one moved
-    in by 1, and ``box_points`` scans the cleared lattice.
+    The basis and the bounds are cleared to integers over one denominator, and
+    ``box_points`` scans the cleared lattice.
     """
     den, (ux, uy, vx, vy, x_lo, x_hi, y_lo, y_hi) = clear_denominators(
         *basis.entries, x_lo, x_hi, y_lo, y_hi
     )
-    if strict:
-        x_lo, x_hi, y_lo, y_hi = x_lo + 1, x_hi - 1, y_lo + 1, y_hi - 1
     return [
         Vec2(Fraction(a, den), Fraction(b, den))
         for a, b in sorted(box_points((ux, uy, vx, vy), x_lo, x_hi, y_lo, y_hi))

@@ -459,24 +459,22 @@ def build_skeleton(tiling: Tiling) -> Skeleton:
     that cancels the bottom sides are disjoint and cover all that is covered.
     """
     den, cleared, _, placement = _clear_valid(tiling)
-    # Every cut is a corner image, and every corner lies on one H line.
-    corners = set()
     edges = []
     for (orientation, key), segments in placement.on_line.items():
         period = placement.form(orientation)[1]
         bottoms = _bottoms(segments)
         last = max(bottoms)  # the latest bottom start before the first cut
         for cut, arc in _cuts(segments.values(), period).items():
-            x, y = (cut, key) if orientation == "h" else (key, cut)
-            w = _canonical(cleared, x, y)
-            if orientation == "h":
-                corners.add(w)
             if cut in bottoms:
                 last = cut
             if (cut - last) % period < bottoms[last]:
-                edges.append((orientation, w, arc))
+                x, y = (cut, key) if orientation == "h" else (key, cut)
+                edges.append((orientation, _canonical(cleared, x, y), arc))
     edges.sort()
-    vertices = {w: _point(den, *w) for w in sorted(corners)}
+    # Every corner image starts an edge: the rectangle just above and right of
+    # a corner has it on its bottom or left side, short of the side's end.  So
+    # the vertices are the edge origins.
+    vertices = {w: _point(den, *w) for w in sorted({w for _, w, _ in edges})}
     lengths = {n: Fraction(n, den) for _, _, n in edges}
     return Skeleton(
         tiling.basis,

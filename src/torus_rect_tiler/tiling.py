@@ -154,7 +154,7 @@ def tiling_from_json_dict(doc) -> Tiling:
     try:
         basis_rows = doc["basis"]
         rect_rows = doc["rects"]
-    except (KeyError, TypeError):
+    except KeyError:
         raise ValueError("tiling document needs 'basis' and 'rects' fields") from None
     if (
         not isinstance(basis_rows, list)

@@ -13,7 +13,6 @@ from torus_rect_tiler import (
     Tiling,
     TorusPoint,
     Vec2,
-    basis_coordinates,
     decompose_axis_paths,
     enumerate_lattice_points,
     l1_norm,
@@ -180,6 +179,20 @@ def brute_axis_period(basis: LatticeBasis, axis: str) -> Fraction:
             return Fraction(a)
         k += 1
         assert k <= det + 1, "axis period scan ran away"
+
+
+def basis_coordinates(basis: LatticeBasis, point: Vec2) -> tuple[Fraction, Fraction]:
+    """Unique rational (z1, z2) with point = z1*u + z2*v."""
+    det = basis.det
+    z1 = (point.x * basis.v.y - point.y * basis.v.x) / det
+    z2 = (basis.u.x * point.y - basis.u.y * point.x) / det
+    return z1, z2
+
+
+def contains(basis: LatticeBasis, point: Vec2) -> bool:
+    """True iff point is an integer combination of the basis vectors."""
+    z1, z2 = basis_coordinates(basis, point)
+    return z1.denominator == 1 and z2.denominator == 1
 
 
 def brute_canonicalize(basis: LatticeBasis, point: Vec2) -> TorusPoint:

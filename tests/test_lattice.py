@@ -11,8 +11,6 @@ from torus_rect_tiler import (
     Vec2,
     Winner,
     axis_periods,
-    basis_coordinates,
-    contains,
     enumerate_lattice_points,
     l1_norm,
     lattice_point,
@@ -23,10 +21,12 @@ from torus_rect_tiler import (
 from torus_rect_tiler import lattice
 from torus_rect_tiler.lattice import box_points
 from conftest import (
+    basis_coordinates,
     brute_axis_period,
     brute_box_points,
     brute_quadrant_basis,
     brute_quadrant_minima,
+    contains,
     random_int_basis,
     random_positive_rational,
     random_rational_basis,
@@ -102,8 +102,6 @@ def test_lattice_points_in_box_matches_ball_filter():
         box = {(p.x, p.y) for p in lattice_points_in_box(basis, -r, r, -r, r)}
         # points with |x|,|y| <= r all have l1 norm <= 2r, so the filter is complete
         assert box == ball
-        strict = {(p.x, p.y) for p in lattice_points_in_box(basis, -r, r, -r, r, strict=True)}
-        assert strict == {(x, y) for x, y in ball if -r < x < r and -r < y < r}
     # rational bases, asymmetric boxes with denominators the basis lacks
     for _ in range(60):
         basis = random_rational_basis(rng, bound=8, max_den=4)
@@ -111,13 +109,9 @@ def test_lattice_points_in_box_matches_ball_filter():
         y_lo, y_hi = sorted(Fraction(rng.randint(-40, 40), rng.choice((5, 7))) for _ in range(2))
         reach = max(abs(x_lo), abs(x_hi)) + max(abs(y_lo), abs(y_hi))
         ball = [(p.x, p.y) for p in enumerate_lattice_points(basis, reach)]
-        for strict in (False, True):
-            box = [(p.x, p.y) for p in lattice_points_in_box(basis, x_lo, x_hi, y_lo, y_hi, strict)]
-            if strict:
-                want = [(x, y) for x, y in ball if x_lo < x < x_hi and y_lo < y < y_hi]
-            else:
-                want = [(x, y) for x, y in ball if x_lo <= x <= x_hi and y_lo <= y <= y_hi]
-            assert box == sorted(want)
+        box = [(p.x, p.y) for p in lattice_points_in_box(basis, x_lo, x_hi, y_lo, y_hi)]
+        want = [(x, y) for x, y in ball if x_lo <= x <= x_hi and y_lo <= y <= y_hi]
+        assert box == sorted(want)
 
 
 def _box_bases(rng, bound):

@@ -24,7 +24,6 @@ from torus_rect_tiler import (
     build_skeleton,
     build_two_rect,
     canonicalize,
-    contains,
     decompose_axis_paths,
     lattice_point,
     min_length,
@@ -48,6 +47,7 @@ from torus_rect_tiler.skeleton import (
 from conftest import (
     assert_matches_brute_decomposition,
     brute_canonicalize,
+    contains,
     random_int_basis,
     random_positive_rational,
     random_rational,

@@ -24,6 +24,11 @@ def _source_trees():
     return [(path, ast.parse(path.read_text(encoding="utf-8"))) for path in files]
 
 
+def _readme_python_blocks() -> list[str]:
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return re.findall(r"^```python\n(.*?)^```$", text, re.M | re.S)
+
+
 def _is_float(node: ast.AST) -> bool:
     if isinstance(node, ast.Constant):
         return isinstance(node.value, float)
@@ -73,8 +78,7 @@ def test_svg_has_no_true_division():
 def test_readme_library_example_runs():
     # The README's python block runs as written, and each "expr  # value"
     # line in it holds: both sides are evaluated in the package namespace.
-    text = (ROOT / "README.md").read_text(encoding="utf-8")
-    blocks = re.findall(r"^```python\n(.*?)^```$", text, re.M | re.S)
+    blocks = _readme_python_blocks()
     assert blocks
     checked = 0
     for block in blocks:
@@ -86,3 +90,36 @@ def test_readme_library_example_runs():
                 assert eval(expr, namespace) == eval(value, namespace), line
                 checked += 1
     assert checked
+
+
+def _names_in(node: ast.AST, own: frozenset = frozenset()) -> set[str]:
+    # Names a tree uses outside the def or class that binds them: identifiers,
+    # attributes, imported names, and the dotted parts of string constants
+    # (bench/ names traced functions so).
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        own = own | {node.name}
+    if isinstance(node, ast.Name):
+        names = {node.id}
+    elif isinstance(node, ast.Attribute):
+        names = {node.attr}
+    elif isinstance(node, ast.alias):
+        names = {node.name}
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        names = set(node.value.split("."))
+    else:
+        names = set()
+    names -= own
+    for child in ast.iter_child_nodes(node):
+        names |= _names_in(child, own)
+    return names
+
+
+def test_every_public_name_has_a_user():
+    # A public name must be used outside its own def or class: by another
+    # module of the package, by the README's example or by a bench/ script.
+    # __init__.py only re-exports, so it does not count.
+    trees = [tree for path, tree in _source_trees() if path.name != "__init__.py"]
+    trees += map(ast.parse, _readme_python_blocks())
+    trees += [ast.parse(path.read_text(encoding="utf-8")) for path in ROOT.glob("bench/*.py")]
+    used = set().union(*map(_names_in, trees))
+    assert sorted(set(torus_rect_tiler.__all__) - used) == []

@@ -156,9 +156,8 @@ def test_one_rect_injectivity_box_is_empty():
         basis = random_int_basis(rng)
         for axis in (Axis.X, Axis.Y):
             (r,) = build_one_rect(basis, axis).rects
-            inside = lattice_points_in_box(
-                basis, -r.width, r.width, -r.height, r.height, strict=True
-            )
+            closed = lattice_points_in_box(basis, -r.width, r.width, -r.height, r.height)
+            inside = [p for p in closed if abs(p.x) < r.width and abs(p.y) < r.height]
             assert all(p.is_zero() for p in inside)
 
 
