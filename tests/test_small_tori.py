@@ -6,17 +6,24 @@ cells by rectangles.  A branch-and-bound search over such covers finds the
 least length among them with no code under test.  It checks only tilings
 whose corners lie on the integer grid; running it on the scaled lattice qL
 checks the tilings of R^2/L with corners on the 1/q grid.
+
+The covers are also inputs the other checks never draw: tilings with axis
+cycles that are not splits of an optimal tiling, for the skeleton and the
+reduction, and, with one rectangle shifted by a cell or dropped, invalid
+tilings whose verdict the cell masks decide.
 """
 
 import random
 
 from torus_rect_tiler import (
+    CycleExistsError,
     LatticeBasis,
     Rect,
     Tiling,
     Vec2,
     build_skeleton,
     min_length,
+    reduce_tiling_with_trace,
     tiling_length,
     verify_tiling,
 )
@@ -109,9 +116,29 @@ def shortest_covers(basis: tuple[int, int, int, int]) -> list[list[tuple]]:
     return found
 
 
+def is_exact_cover(basis: tuple[int, int, int, int], boxes: list[tuple]) -> bool:
+    """Whether the unit cells of the (x, y, w, h) rectangles hit every class
+    modulo the lattice, each once."""
+    ux, uy, vx, vy = basis
+    cells = [
+        cell_of(basis, x + i, y + j) for x, y, w, h in boxes for i in range(w) for j in range(h)
+    ]
+    return len(cells) == len(set(cells)) == abs(ux * vy - uy * vx)
+
+
+def rect(x: int, y: int, w: int, h: int) -> Rect:
+    return Rect(x, x + w, y, y + h)
+
+
+SHIFTS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+
+
 def test_no_cover_of_a_small_torus_is_shorter_than_min_length():
+    # Each cover found is also reduced, and perturbed: each rectangle in turn
+    # is shifted by one cell along each axis, whose verdict must be the cell
+    # masks', or dropped, which must be refused.
     rng = random.Random(58)
-    bases = scaled = covers = 0
+    bases = scaled = covers = reduced = shifted_valid = shifted_invalid = 0
     while bases < 60:
         a, b, c, d = (rng.randint(-6, 6) for _ in range(4))
         cov = abs(a * d - b * c)
@@ -125,14 +152,37 @@ def test_no_cover_of_a_small_torus_is_shorter_than_min_length():
             scaled += q > 1
             ints = (q * a, q * b, q * c, q * d)
             basis = LatticeBasis(Vec2(*ints[:2]), Vec2(*ints[2:]))
+            least = min_length(basis).min_length
             found = shortest_covers(ints)
-            assert found and sum(p[0] for p in found[-1]) == min_length(basis).min_length
+            assert found and sum(p[0] for p in found[-1]) == least
             for cover in found:
-                t = Tiling(basis, tuple(Rect(x, x + w, y, y + h) for _, _, x, y, w, h in cover))
+                length = sum(p[0] for p in cover)
+                boxes = [p[2:] for p in cover]
+                rects = [rect(*box) for box in boxes]
+                t = Tiling(basis, tuple(rects))
                 assert verify_tiling(t).valid
                 sk = build_skeleton(t)
-                assert sk.total_length == tiling_length(t) == sum(p[0] for p in cover)
+                assert sk.total_length == tiling_length(t) == length
                 assert_matches_brute_decomposition(sk)
                 covers += 1
-    assert scaled > 20 and covers > 600
-
+                try:
+                    shorter, _ = reduce_tiling_with_trace(t)
+                except CycleExistsError:
+                    pass
+                else:
+                    assert verify_tiling(shorter).valid
+                    assert least <= tiling_length(shorter) <= length
+                    reduced += 1
+                for k, (x, y, w, h) in enumerate(boxes):
+                    for dx, dy in SHIFTS:
+                        moved = (x + dx, y + dy, w, h)
+                        valid = is_exact_cover(ints, boxes[:k] + [moved] + boxes[k + 1 :])
+                        shifted = Tiling(basis, (*rects[:k], rect(*moved), *rects[k + 1 :]))
+                        assert verify_tiling(shifted).valid == valid
+                        shifted_valid += valid
+                        shifted_invalid += not valid
+                    if len(rects) > 1:  # a Tiling needs a rectangle
+                        dropped = Tiling(basis, (*rects[:k], *rects[k + 1 :]))
+                        assert not verify_tiling(dropped).valid
+    assert scaled > 20 and covers > 600 and reduced > 100
+    assert shifted_valid > 500 and shifted_invalid > 10000
