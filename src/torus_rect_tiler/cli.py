@@ -15,7 +15,6 @@ from .lattice import (
     LatticeBasis,
     QuadrantBasis,
     _inverse_l1_norm,
-    axis_periods,
     enumerate_lattice_points,
     min_length,
 )
@@ -28,7 +27,7 @@ from .skeleton import (
     reduce_tiling_with_trace,
     verify_tiling,
 )
-from .svg import render_tiling_svg, view_box
+from .svg import point_bound, render_tiling_svg
 from .tiling import (
     Axis,
     AxisAlignedGeneratorError,
@@ -45,7 +44,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INVALID = 2
 
-# Largest floor(N(B^-1) * radius) `oracle` scans: 2*120^2 points, about 1 s.
+# Largest N = floor(N(B^-1) * radius) `oracle` accepts.  It lists the square
+# [-radius, radius]^2 and keeps the l1 ball; every point listed has
+# |z1| + |z2| <= 2N + 2, so box_points visits at most about 4N lines and 8N^2
+# points, about 1 s.
 ORACLE_MAX_COEFFICIENT = 120
 # Largest certified bound on the lattice points `render` draws, at about
 # 5 us per point: the largest accepted picture (19 460 points, from
@@ -235,12 +237,7 @@ def _cmd_render(args) -> int:
         raise CliError("--width must be positive")
     if args.width > RENDER_MAX_WIDTH:
         raise CliError(f"--width must be at most {RENDER_MAX_WIDTH}")
-    x_lo, x_hi, y_lo, y_hi = view_box(tiling)
-    periods = axis_periods(tiling.basis)
-    # Lattice x-coordinates are the multiples of g_x = m_y - d_y, and the
-    # points over one x step by d_y, so the box holds at most this many.
-    columns = math.floor((x_hi - x_lo) / (periods.m_y - periods.d_y)) + 1
-    points = columns * (math.floor((y_hi - y_lo) / periods.d_y) + 1)
+    points = point_bound(tiling)
     if points > RENDER_MAX_POINTS:
         raise CliError(
             f"the picture may hold up to {points} lattice points; "

@@ -2,21 +2,19 @@
 sign-class vectors, axis periods, and the minimum tiling length.
 
 A lattice is given by an ordered basis pair {u, v} with nonzero determinant.
-All searches are certified exact: enumeration bounds come from the l1 operator
-norm of the inverse basis matrix.  Searches and box queries run on integers:
-the basis (and any bounds) are cleared once by ``clear_denominators``, and
-only results are converted back to fractions.  Shortest sign-class vectors
-are ranked by ``exact_math.sign_key``, the package's one sign-class rule.
-``box_points`` scans a box of an already cleared lattice, for callers that
-clear many boxes at once, in O(1) for its coefficient hull plus O(z1 span)
-plus O(points) time; ``axis_form`` is the integer Hermite form of a cleared
-lattice along an axis.
+Searches and box queries run on integers: the basis (and any bounds) are
+cleared once by ``clear_denominators``, and only results are converted back
+to fractions.  Shortest sign-class vectors are ranked by
+``exact_math.sign_key``, the package's one sign-class rule, and their search
+is certified by the l1 operator norm of the inverse basis matrix.
+``box_points`` is the one listing of lattice points: a box of a cleared
+lattice, in O(1) for its coefficient hull plus O(z1 span) plus O(points)
+time.  ``axis_forms`` is the one builder of integer Hermite forms.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -79,26 +77,18 @@ def _inverse_l1_norm(basis: LatticeBasis) -> Fraction:
 def enumerate_lattice_points(basis: LatticeBasis, radius) -> list[Vec2]:
     """Every lattice point with l1 norm <= radius, sorted by (norm, x, y).
 
-    Complete by construction: any such point is z1*u + z2*v with
-    |z1| + |z2| <= N(B^-1) * radius, and all integer pairs in that diamond
-    are scanned.
+    Complete: a point of l1 norm <= radius lies in the square
+    [-radius, radius]^2, and ``box_points`` lists every lattice point there.
     """
     radius = Fraction(radius)
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    den, (ux, uy, vx, vy) = clear_denominators(*basis.entries)
-    zmax = math.floor(_inverse_l1_norm(basis) * radius)
-    rn, rd = radius.numerator, radius.denominator
-    hits = []
-    for z1 in range(-zmax, zmax + 1):
-        span = zmax - abs(z1)
-        for z2 in range(-span, span + 1):
-            a = z1 * ux + z2 * vx
-            b = z1 * uy + z2 * vy
-            norm = abs(a) + abs(b)
-            if norm * rd <= rn * den:
-                hits.append((norm, a, b))
-    hits.sort()
+    den, (*cleared, r) = clear_denominators(*basis.entries, radius)
+    hits = sorted(
+        (norm, a, b)
+        for a, b in box_points(cleared, -r, r, -r, r)
+        if (norm := abs(a) + abs(b)) <= r
+    )
     return [Vec2(Fraction(a, den), Fraction(b, den)) for _, a, b in hits]
 
 
@@ -227,11 +217,11 @@ def quadrant_basis(basis: LatticeBasis) -> QuadrantBasis:
     )
 
 
-def axis_form(
-    along_u: int, along_v: int, across_u: int, across_v: int
-) -> tuple[int, int, int]:
-    """Hermite form (spacing, period, shear) of the integer lattice spanned by
-    u and v, given by their coordinates along one axis and across it.
+def axis_forms(
+    ux: int, uy: int, vx: int, vy: int
+) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+    """Hermite forms (h, v), each (spacing, period, shear), of the integer
+    lattice spanned by (ux, uy) and (vx, vy) along the x axis and the y axis.
 
     In (along, across) coordinates the lattice is
     {a*(period, 0) + b*(shear, spacing)}: spacing is the least positive across
@@ -239,13 +229,15 @@ def axis_form(
     Euclid's algorithm on the across coordinates, applied to whole basis
     vectors, keeps a basis and ends with one vector on the axis.
     """
-    (a1, c1), (a2, c2) = (along_u, across_u), (along_v, across_v)
-    while c2:
-        q = c1 // c2
-        (a1, c1), (a2, c2) = (a2, c2), (a1 - q * a2, c1 - q * c2)
-    if c1 < 0:
-        a1, c1 = -a1, -c1
-    return c1, abs(a2), a1 % abs(a2)
+    forms = []
+    for (a1, c1), (a2, c2) in (((ux, uy), (vx, vy)), ((uy, ux), (vy, vx))):
+        while c2:
+            q = c1 // c2
+            (a1, c1), (a2, c2) = (a2, c2), (a1 - q * a2, c1 - q * c2)
+        if c1 < 0:
+            a1, c1 = -a1, -c1
+        forms.append((c1, abs(a2), a1 % abs(a2)))
+    return tuple(forms)
 
 
 @dataclass(frozen=True)
@@ -268,9 +260,8 @@ def axis_periods(basis: LatticeBasis) -> AxisPeriods:
     The y-coordinates of lattice points form g_y*Z, and the kernel of that
     projection is d_x*Z x {0}, so d_x = cov/g_y; the x-axis case is symmetric.
     """
-    den, (ux, uy, vx, vy) = clear_denominators(*basis.entries)
-    g_y, d_x, _ = axis_form(ux, vx, uy, vy)
-    g_x, d_y, _ = axis_form(uy, vy, ux, vx)
+    den, cleared = clear_denominators(*basis.entries)
+    (g_y, d_x, _), (g_x, d_y, _) = axis_forms(*cleared)
     d_x, d_y, m_x, m_y = (Fraction(n, den) for n in (d_x, d_y, d_x + g_y, d_y + g_x))
     return AxisPeriods(d_x=d_x, d_y=d_y, m_x=m_x, m_y=m_y)
 

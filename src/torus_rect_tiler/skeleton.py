@@ -10,7 +10,7 @@ Internally a tiling has one integer form (den, cleared, boxes), made by one
 a box (x0, x1, y0, y1), all integers over den.  Verification, placement,
 canonical points and the reduction's shifts run on it; only emitted values
 become fractions.  Each line family is read off the integer Hermite form
-{a*(d_x, 0) + b*(shear, g_y)} of the cleared lattice (``lattice.axis_form``),
+{a*(d_x, 0) + b*(shear, g_y)} of the cleared lattice (``lattice.axis_forms``),
 so locating a point on its line is one divmod and one remainder.  One
 placement (``_Placement``) holds axis segments (rectangle sides or skeleton
 edges) by torus line, each as its start and length along the line: the one
@@ -59,7 +59,7 @@ from fractions import Fraction
 from typing import Collection, Iterable
 
 from .exact_math import Vec2, clear_denominators
-from .lattice import LatticeBasis, axis_form, box_points
+from .lattice import LatticeBasis, axis_forms, box_points
 from .tiling import Rect, Tiling
 
 _Ints = tuple[int, int, int, int]  # a cleared basis or box
@@ -264,9 +264,7 @@ class _Placement:
         the split-reduce benchmark about 8% slower (2-CPU x86_64, Python 3.11).
         """
         if self.forms is None:
-            ux, uy, vx, vy = self.cleared
-            h, v = axis_form(ux, vx, uy, vy), axis_form(uy, vy, ux, vx)
-            self.forms = {"h": h, "v": v}
+            self.forms = dict(zip("hv", axis_forms(*self.cleared)))
         return self.forms[orientation]
 
     def put(self, key, orientation: str, x: int, y: int, length: int) -> None:

@@ -10,10 +10,8 @@ identical bytes.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .exact_math import clear_denominators
-from .lattice import box_points
+from .lattice import axis_forms, box_points
 from .tiling import Tiling
 
 
@@ -42,24 +40,25 @@ def _frame(tiling: Tiling) -> tuple[int, tuple[int, ...], tuple[int, int, int, i
     return 10 * den, ints, (x_lo - pad, x_hi + pad, y_lo - pad, y_hi + pad)
 
 
-def view_box(tiling: Tiling) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """The plane box (x_lo, x_hi, y_lo, y_hi) a picture of the tiling shows:
-    the basis parallelogram and every rectangle, padded on each side by a
-    tenth of the larger extent.  The picture draws every lattice point in it.
-    """
-    den, _, box = _frame(tiling)
-    return tuple(Fraction(c, den) for c in box)
+def point_bound(tiling: Tiling) -> int:
+    """Certified bound on the lattice points ``render_tiling_svg`` draws:
+    lattice x-coordinates are the multiples of g_x, the spacing of the
+    vertical lattice lines, and the points on one are d_y apart, so the
+    picture's W x H box holds at most (W // g_x + 1) * (H // d_y + 1)."""
+    _, ints, (x_lo, x_hi, y_lo, y_hi) = _frame(tiling)
+    g_x, d_y, _ = axis_forms(*ints[:4])[1]
+    return ((x_hi - x_lo) // g_x + 1) * ((y_hi - y_lo) // d_y + 1)
 
 
 def render_tiling_svg(tiling: Tiling, width: int = 640) -> str:
     """Render the tiling to standalone SVG text, ``width`` pixels wide.
 
-    The picture shows the box ``view_box(tiling)`` and draws a circle at every
+    The picture shows the padded box of ``_frame`` and draws a circle at every
     lattice point in it.  All of it is computed on one cleared integer frame:
     a point (a, b) there is the pixel ((a - x_lo) * width / W, (y_hi - b) *
     width / W), W = x_hi - x_lo, at two integer roundings and no ``Fraction``.
     The point count grows with the box's area over the covolume, and nothing
-    here bounds it; the CLI's ``RENDER_MAX_POINTS`` refuses large pictures.
+    here bounds it; the CLI refuses pictures whose ``point_bound`` is large.
     """
     if width <= 0:
         raise ValueError("width must be a positive pixel count")

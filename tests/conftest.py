@@ -13,6 +13,7 @@ from torus_rect_tiler import (
     Tiling,
     TorusPoint,
     Vec2,
+    axis_periods,
     decompose_axis_paths,
     enumerate_lattice_points,
     l1_norm,
@@ -22,6 +23,7 @@ from torus_rect_tiler import (
     verify_tiling,
 )
 from torus_rect_tiler.exact_math import clear_denominators
+from torus_rect_tiler.lattice import _inverse_l1_norm
 from torus_rect_tiler.skeleton import (
     AxisPathDecomposition,
     Skeleton,
@@ -139,6 +141,31 @@ def brute_quadrant_basis(basis: LatticeBasis) -> QuadrantBasis:
     if p2.x > 0:
         p2 = -p2
     return QuadrantBasis(p1, p2)
+
+
+def brute_ball_points(basis: LatticeBasis, radius) -> list[Vec2]:
+    """Every lattice point with l1 norm <= radius, sorted by (norm, x, y): scan
+    the coefficient diamond and filter.
+
+    Independent of lattice.box_points: any such point is z1*u + z2*v with
+    |z1| + |z2| <= N(B^-1) * radius, and all integer pairs in that diamond
+    are scanned.
+    """
+    radius = Fraction(radius)
+    den, (ux, uy, vx, vy) = clear_denominators(*basis.entries)
+    zmax = math.floor(_inverse_l1_norm(basis) * radius)
+    rn, rd = radius.numerator, radius.denominator
+    hits = []
+    for z1 in range(-zmax, zmax + 1):
+        span = zmax - abs(z1)
+        for z2 in range(-span, span + 1):
+            a = z1 * ux + z2 * vx
+            b = z1 * uy + z2 * vy
+            norm = abs(a) + abs(b)
+            if norm * rd <= rn * den:
+                hits.append((norm, a, b))
+    hits.sort()
+    return [Vec2(Fraction(a, den), Fraction(b, den)) for _, a, b in hits]
 
 
 def brute_box_points(cleared, x_lo, x_hi, y_lo, y_hi) -> list[tuple[int, int]]:
@@ -441,6 +468,16 @@ def view_box_oracle(tiling: Tiling) -> tuple[Fraction, Fraction, Fraction, Fract
     ys = [p.y for p in anchors]
     pad = max(max(xs) - min(xs), max(ys) - min(ys)) / 10
     return min(xs) - pad, max(xs) + pad, min(ys) - pad, max(ys) + pad
+
+
+def point_bound_oracle(tiling: Tiling) -> int:
+    """The render bound on Fractions: lattice x-coordinates are the multiples
+    of g_x = m_y - d_y and the points over one x step by d_y, so
+    view_box_oracle's box holds at most this many."""
+    x_lo, x_hi, y_lo, y_hi = view_box_oracle(tiling)
+    periods = axis_periods(tiling.basis)
+    columns = math.floor((x_hi - x_lo) / (periods.m_y - periods.d_y)) + 1
+    return columns * (math.floor((y_hi - y_lo) / periods.d_y) + 1)
 
 
 def render_svg_oracle(tiling: Tiling, width: int) -> str:

@@ -349,6 +349,25 @@ def test_render_refuses_a_picture_with_too_many_lattice_points(capsys, tmp_path)
     assert out == "" and not out_path.exists()
 
 
+def test_render_accepts_the_largest_picture_and_refuses_the_next(capsys, tmp_path):
+    # Optimal tilings of (1,1),(k,k+1): k = 115 gives the largest picture the
+    # bound accepts, k = 116 a bound just above RENDER_MAX_POINTS.
+    out_path = tmp_path / "edge.svg"
+    tiling_path = write_tiling(tmp_path, capsys, "1 1 115 116")
+    render = ("render", "-t", str(tiling_path), "-o", str(out_path))
+    assert run(capsys, *render) == (0, "", "")
+    assert out_path.read_text().count("<circle ") == 19_460
+    out_path.unlink()
+    write_tiling(tmp_path, capsys, "1 1 116 117")
+    assert run(capsys, *render) == (
+        1,
+        "",
+        "error: the picture may hold up to 20022 lattice points; "
+        "render draws at most 20000\n",
+    )
+    assert not out_path.exists()
+
+
 def test_render_rejects_nonpositive_width(capsys, tmp_path):
     tiling_path = write_tiling(tmp_path, capsys, UNIT)
     out_path = tmp_path / "zero.svg"

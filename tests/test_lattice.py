@@ -23,6 +23,7 @@ from torus_rect_tiler.lattice import box_points
 from conftest import (
     basis_coordinates,
     brute_axis_period,
+    brute_ball_points,
     brute_box_points,
     brute_quadrant_basis,
     brute_quadrant_minima,
@@ -89,6 +90,34 @@ def test_enumerate_rejects_negative_radius():
         enumerate_lattice_points(UNIT, -1)
 
 
+def test_enumerate_lattice_points_matches_the_diamond_scan():
+    # Random bases at radius 0, whole and fractional radii, and two sheared
+    # families, (1,1),(k,k+1) and (1,0),(0,k), whose square [-r, r]^2 holds
+    # many lattice points outside the l1 ball.
+    rng = random.Random(13)
+    queries = []
+    for trial in range(80):
+        if trial % 2:
+            basis = random_rational_basis(rng, bound=8, max_den=5)
+        else:
+            basis = random_int_basis(rng, bound=8)
+        whole = Fraction(rng.randint(1, 12))
+        fractional = Fraction(rng.randint(1, 60), rng.randint(2, 7))
+        queries += [(basis, Fraction(0)), (basis, whole), (basis, fractional)]
+    for k in (1, 7, 40):
+        for radius in (0, 1, Fraction(5, 2), 6):
+            queries.append((LatticeBasis(Vec2(1, 1), Vec2(k, k + 1)), radius))
+        for radius in (0, 1, Fraction(7, 2), 12, Fraction(121, 2)):
+            queries.append((LatticeBasis(Vec2(1, 0), Vec2(0, k)), radius))
+    outside = 0
+    for basis, radius in queries:
+        ball = enumerate_lattice_points(basis, radius)
+        assert ball == brute_ball_points(basis, radius), (basis, radius)
+        outside += len(lattice_points_in_box(basis, -radius, radius, -radius, radius))
+        outside -= len(ball)
+    assert outside > 10_000
+
+
 def test_lattice_points_in_box_matches_ball_filter():
     rng = random.Random(11)
     for _ in range(30):
@@ -96,7 +125,7 @@ def test_lattice_points_in_box_matches_ball_filter():
         r = Fraction(rng.randint(1, 8))
         ball = {
             (p.x, p.y)
-            for p in enumerate_lattice_points(basis, 2 * r)
+            for p in brute_ball_points(basis, 2 * r)
             if -r <= p.x <= r and -r <= p.y <= r
         }
         box = {(p.x, p.y) for p in lattice_points_in_box(basis, -r, r, -r, r)}
@@ -108,7 +137,7 @@ def test_lattice_points_in_box_matches_ball_filter():
         x_lo, x_hi = sorted(Fraction(rng.randint(-40, 40), rng.choice((5, 7))) for _ in range(2))
         y_lo, y_hi = sorted(Fraction(rng.randint(-40, 40), rng.choice((5, 7))) for _ in range(2))
         reach = max(abs(x_lo), abs(x_hi)) + max(abs(y_lo), abs(y_hi))
-        ball = [(p.x, p.y) for p in enumerate_lattice_points(basis, reach)]
+        ball = [(p.x, p.y) for p in brute_ball_points(basis, reach)]
         box = [(p.x, p.y) for p in lattice_points_in_box(basis, x_lo, x_hi, y_lo, y_hi)]
         want = [(x, y) for x, y in ball if x_lo <= x <= x_hi and y_lo <= y <= y_hi]
         assert box == sorted(want)

@@ -34,7 +34,7 @@ from torus_rect_tiler import (
     verify_tiling,
 )
 from torus_rect_tiler.exact_math import clear_denominators
-from torus_rect_tiler.lattice import axis_form
+from torus_rect_tiler.lattice import axis_forms
 from torus_rect_tiler import skeleton
 from torus_rect_tiler.skeleton import (
     InvalidTilingError,
@@ -125,8 +125,7 @@ def test_axis_form_matches_axis_periods_and_locate_is_lattice_invariant(kind):
             basis.u.x, basis.u.y, basis.v.x, basis.v.y
         )
         det = abs(ux * vy - uy * vx)
-        h = axis_form(ux, vx, uy, vy)
-        v = axis_form(uy, vy, ux, vx)
+        h, v = axis_forms(ux, uy, vx, vy)
         assert h[0] == math.gcd(uy, vy) and h[0] * h[1] == det
         assert v[0] == math.gcd(ux, vx) and v[0] * v[1] == det
         assert Fraction(h[1], den) == per.d_x and Fraction(v[1], den) == per.d_y

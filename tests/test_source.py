@@ -2,10 +2,12 @@
 
 import ast
 import re
+import shlex
 from fractions import Fraction
 from pathlib import Path
 
 import torus_rect_tiler
+from torus_rect_tiler import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -90,6 +92,24 @@ def test_readme_library_example_runs():
                 assert eval(expr, namespace) == eval(value, namespace), line
                 checked += 1
     assert checked
+
+
+def test_readme_shell_examples_run(tmp_path, monkeypatch, capsys):
+    # Each torus-rect-tiler line of the README's sh blocks runs, in order and
+    # in one directory, through the CLI's main and exits 0.
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```$", text, re.M | re.S)
+    commands = [
+        shlex.split(line)[1:]
+        for block in blocks
+        for line in block.splitlines()
+        if line.startswith("torus-rect-tiler ")
+    ]
+    assert commands
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert cli.main(argv) == 0, argv
+        capsys.readouterr()
 
 
 def _names_in(node: ast.AST, own: frozenset = frozenset()) -> set[str]:

@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 
 from torus_rect_tiler import LatticeBasis, Rect, Tiling, Vec2, build_optimal, render_tiling_svg
-from torus_rect_tiler.svg import _round3, view_box
+from torus_rect_tiler.svg import _frame, _round3, point_bound
 from torus_rect_tiler.lattice import lattice_points_in_box
 from conftest import (
+    point_bound_oracle,
     random_rational,
     random_rational_basis,
     random_split_tiling,
@@ -93,9 +94,16 @@ def test_large_picture_bytes_are_pinned(name):
     assert hashlib.sha256(svg.encode("utf-8")).hexdigest() == digest
 
 
+def _view_box(tiling: Tiling) -> tuple[Fraction, ...]:
+    """The picture's padded box in the plane, read off its integer frame."""
+    den, _, box = _frame(tiling)
+    assert type(den) is int and den > 0 and all(type(c) is int for c in box)
+    return tuple(Fraction(c, den) for c in box)
+
+
 def test_a_tie_at_the_fourth_decimal_rounds_away_from_zero():
     svg = render_tiling_svg(UNIT_SPLIT, 6)
-    assert view_box(UNIT_SPLIT) == (Fraction(-1, 10), Fraction(11, 10)) * 2
+    assert _view_box(UNIT_SPLIT) == (Fraction(-1, 10), Fraction(11, 10)) * 2
     assert 'width="0.313"' in svg
 
 
@@ -135,9 +143,8 @@ def test_view_box_matches_the_corner_oracle():
             basis = random_rational_basis(rng, bound=10**6, max_den=10**4)
         reach = rng.choice((3, 50, 10**5))
         tiling = Tiling(basis, tuple(_random_rect(rng, reach) for _ in range(rng.randint(1, 6))))
-        box = view_box(tiling)
-        assert box == view_box_oracle(tiling), tiling
-        assert all(type(v) is Fraction for v in box)
+        assert _view_box(tiling) == view_box_oracle(tiling), tiling
+        assert point_bound(tiling) == point_bound_oracle(tiling), tiling
 
 
 def _scattered(rng: random.Random, tiling: Tiling) -> Tiling:
@@ -164,7 +171,9 @@ def test_render_matches_the_fraction_oracle():
         tiling = build_optimal(basis)
         if rendered % 2:
             tiling = _scattered(rng, random_split_tiling(rng, tiling))
-        if len(lattice_points_in_box(basis, *view_box_oracle(tiling))) > 600:
+        count = len(lattice_points_in_box(basis, *view_box_oracle(tiling)))
+        assert count <= point_bound(tiling), tiling
+        if count > 600:
             continue
         rendered += 1
         for width in (1, 7, 640, 10**6):
