@@ -624,9 +624,9 @@ def test_reduce_rejects_axis_cycles():
         reduce_tiling_with_trace(Tiling(UNIT, (Rect(0, 1, 0, 1),)))
 
 
-def test_reduce_names_the_step_that_creates_an_axis_cycle():
-    # Cycle-free (3 H paths, 2 V paths), but the first merge closes an H line.
-    t = tiling_from_json_dict(
+def step_cycle_tiling() -> Tiling:
+    """Cycle-free (3 H paths, 2 V paths), but the first merge closes an H line."""
+    return tiling_from_json_dict(
         {
             "basis": [["-13", "-2"], ["3", "1"]],
             "rects": [
@@ -639,6 +639,10 @@ def test_reduce_names_the_step_that_creates_an_axis_cycle():
             ],
         }
     )
+
+
+def test_reduce_names_the_step_that_creates_an_axis_cycle():
+    t = step_cycle_tiling()
     d = decompose_axis_paths(build_skeleton(t))
     assert d.cycles_h == () and d.cycles_v == ()
     with pytest.raises(CycleExistsError, match="after step 1"):
@@ -881,6 +885,83 @@ def test_endpoint_chain_runs_match_the_recut_lines(monkeypatch, kind):
     placement.put((0, 1), "h", 0, 0, 1)
     with pytest.raises(RuntimeError, match="no bottom side"):
         skeleton._runs(placement, ("h", 0))
+
+
+def recut_target(placement: _Placement):
+    """The next step's (axis, line key, path start) read off ``recut_runs``:
+    the first axis, h then v, whose lines hold two runs or more, its least
+    line and that line's run of least start.  "cycle" when a line closes into
+    a cycle, and None when no axis holds two runs."""
+    runs = recut_runs(placement)
+    if [] in runs.values():
+        return "cycle"
+    for orientation in "hv":
+        lines = sorted(line_id for line_id in runs if line_id[0] == orientation)
+        if sum(len(runs[line_id]) for line_id in lines) > 1:
+            return orientation, lines[0][1], min(runs[lines[0]])[0]
+    return None
+
+
+@pytest.mark.parametrize("kind", ["integer", "rational", "cycle-free"])
+def test_reduction_targets_the_run_the_recut_lines_choose(monkeypatch, kind):
+    certify = skeleton._certify
+    targets = []
+
+    def recording(placement, boxes, edits):
+        # The target after the input's certificate and after each step's.
+        touched = certify(placement, boxes, edits)
+        if touched is not None:
+            targets.append(recut_target(placement))
+        return touched
+
+    monkeypatch.setattr(skeleton, "_certify", recording)
+    if kind == "cycle-free":
+        tilings = [cycle_free_split_tiling(count, count) for count in (32, 64)]
+    else:
+        rng = random.Random(56 if kind == "integer" else 57)
+        tilings = [
+            random_split_tiling(
+                rng,
+                build_optimal(
+                    random_int_basis(rng, bound=12)
+                    if kind == "integer"
+                    else random_rational_basis(rng)
+                ),
+            )
+            for _ in range(60)
+        ]
+        tilings.append(step_cycle_tiling())
+    reduced = cycles = after_steps = 0
+    chosen = []
+    for t in tilings:
+        den = _clear(t)[0]
+        targets.clear()
+        try:
+            _, steps = reduce_tiling_with_trace(t)
+        except CycleExistsError as error:
+            # The reduction stops at the first state the oracle finds a cycle in.
+            assert targets[-1] == "cycle"
+            assert None not in targets and targets.count("cycle") == 1
+            after = len(targets) - 1
+            assert ("after step" in str(error)) == bool(after)
+            assert not after or f"after step {after}:" in str(error)
+            cycles += 1
+            after_steps += bool(after)
+            continue
+        # And it stops exactly where no axis holds two runs.
+        assert targets[-1] is None
+        assert targets[:-1] == [
+            (s.axis.value, s.line_key * den, s.path_start * den) for s in steps
+        ]
+        chosen += targets[:-1]
+        reduced += 1
+    # Both axes, lines past the first and runs past position 0 are chosen.
+    assert {axis for axis, _, _ in chosen} == {"h", "v"}
+    assert any(key for _, key, _ in chosen) and any(start for _, _, start in chosen)
+    if kind == "cycle-free":
+        assert reduced == 2 and len(chosen) > 50
+    else:
+        assert reduced > 20 and cycles > 15 and len(chosen) > 60 and after_steps
 
 
 def test_only_the_skeleton_cuts_lines_into_arcs(monkeypatch):

@@ -143,3 +143,31 @@ def test_every_public_name_has_a_user():
     trees += [ast.parse(path.read_text(encoding="utf-8")) for path in ROOT.glob("bench/*.py")]
     used = set().union(*map(_names_in, trees))
     assert sorted(set(torus_rect_tiler.__all__) - used) == []
+
+
+def test_every_private_helper_has_a_caller():
+    # A module-level def, class or assignment whose name has one leading
+    # underscore must be read somewhere in src/, as a name or an attribute;
+    # a helper kept only for tests is dead code.  Docstrings do not count.
+    defined, loaded = [], set()
+    for path, tree in _source_trees():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defined += [
+                (name, f"{path.relative_to(SRC)}:{node.lineno}")
+                for name in names
+                if name.startswith("_") and not name.startswith("__")
+            ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    assert defined
+    assert [where for name, where in defined if name not in loaded] == []
