@@ -45,10 +45,10 @@ certificate refuses pay the O(n^2) scan of open difference boxes with
 certificate's placement is the one the skeleton and the reduction read.
 
 On a line that cancels, the bottom (left) sides are disjoint and cover what
-the top (right) sides cover.  So the line's maximal runs of sides are the
-chains of its bottom sides (``_runs``; an axis cycle when one runs the whole
-line), and an arc between two cuts is covered exactly when a bottom side
-covers it (``build_skeleton``).
+the top (right) sides cover.  So each head, a bottom start that is no
+bottom's end, begins one maximal run of sides (``_heads``), a line with no
+head is an axis cycle, and an arc between two cuts is covered exactly when a
+bottom side covers it (``build_skeleton``).
 """
 
 from __future__ import annotations
@@ -407,23 +407,17 @@ def _certify(
     return touched if _cancels(placement, touched) else None
 
 
-def _runs(placement: _Placement, line_id: _LineId) -> list[tuple[int, int]]:
-    """The maximal runs of sides on a line that cancels, as (start, length)
-    sorted by start; [] when the sides close the line into a cycle.  They are
-    the ``_chains`` of its bottom (left) sides (module docstring), each from
-    its first start to its last end: 0 modulo the period only for a cycle.
-    Raises RuntimeError when the line has sides but no bottom side, which a
-    line that cancels cannot.
-    """
+def _heads(placement: _Placement, line_id: _LineId) -> tuple[dict[int, int], set[int]]:
+    """The bottom (left) sides {start: length} of a line that cancels, and its
+    heads, the starts that are no bottom's end: one per maximal run, none on a
+    cycle.  Raises RuntimeError when the line has sides but no bottom side,
+    which a line that cancels cannot."""
     period = placement.form(line_id[0])[1]
     bottoms = _bottoms(placement.on_line[line_id])
     if not bottoms:
         raise RuntimeError(f"line {line_id} has sides but no bottom side")
-    runs = [
-        (chain[0], (chain[-1] + bottoms[chain[-1]] - chain[0]) % period)
-        for chain in _chains(bottoms, period)
-    ]
-    return runs if runs[0][1] else []
+    ends = {(start + n) % period for start, n in bottoms.items()}
+    return bottoms, bottoms.keys() - ends
 
 
 def _refuted(den: int, cleared: _Ints, boxes: list[_Ints]) -> list[Violation]:
@@ -603,13 +597,14 @@ def reduce_tiling_with_trace(
     The input and then each step are certified by the incremental
     endpoint-count certificate of the module docstring (``_certify``), and
     the reduction reads the certificate's placement of the sides without
-    cutting any line into arcs.  The runs of each line a step touched are
-    chained from its bottom (left) sides (``_runs``); the chosen path is the
-    run of least start on the least line of its axis, and a side lies on it
-    when its start is less than the run's length past the run's start, going
-    around the line.  No rectangle pair is scanned unless a check fails: the
-    input's or a step's failure raises with the full O(n^2) verification
-    report.  The reduced tiling is verified pair by pair once more.
+    cutting any line into arcs.  Each line a step touched is checked for a
+    cycle by its heads (``_heads``), and only the chosen path is walked: the
+    run from the least head on the least line of the first axis with two
+    runs.  A side lies on it when its start is less than the run's length
+    past the run's start, going around the line.  No rectangle pair is
+    scanned unless a check fails: the input's or a step's failure raises with
+    the full O(n^2) verification report.  The reduced tiling is verified pair
+    by pair once more.
 
     Raises CycleExistsError when the input has an axis cycle, and also when a
     step creates one (the message then names the step), since the shift
@@ -619,36 +614,33 @@ def reduce_tiling_with_trace(
     # indices of the boxes after an eliminated one drop.
     den, cleared, boxes, placement = _clear_valid(tiling)
     length = sum(map(_half_perimeter, boxes.values()))
-    runs: dict[_LineId, list[tuple[int, int]]] = {}
-    run_count = {"h": 0, "v": 0}
     steps: list[ReductionStep] = []
     touched = sorted(placement.on_line)
     for _ in range(len(boxes) + 2):
         # Only a line a step touched can have closed into a cycle.
         for line_id in touched:
-            run_count[line_id[0]] -= len(runs.pop(line_id, ()))
-            if line_id not in placement.on_line:
-                continue
-            line_runs = _runs(placement, line_id)
-            if not line_runs:
+            if line_id in placement.on_line and not _heads(placement, line_id)[1]:
                 after = f" after step {len(steps)}" if steps else ""
                 raise CycleExistsError(
                     f"{line_id[0]}-cycle on line {Fraction(line_id[1], den)}"
                     f"{after}: the path-merging reduction does not apply"
                 )
-            runs[line_id] = line_runs
-            run_count[line_id[0]] += len(line_runs)
 
-        if run_count["h"] > 1:
-            orientation = "h"
-        elif run_count["v"] > 1:
-            orientation = "v"
+        # Each placed line holds a run, so an axis holds two runs when it has
+        # two lines or its least line has two heads.
+        for orientation in "hv":
+            lines = [line for line in placement.on_line if line[0] == orientation]
+            target_line = min(lines)
+            bottoms, heads = _heads(placement, target_line)
+            if len(lines) > 1 or len(heads) > 1:
+                break
         else:
             break
-        # The first run of the first line, in (line key, start) order.
-        target_line = min(line_id for line_id in runs if line_id[0] == orientation)
-        target_start, target_length = runs[target_line][0]
         period = placement.form(orientation)[1]
+        target_start = end = min(heads)
+        while end in bottoms:
+            end = (end + bottoms[end]) % period
+        target_length = (end - target_start) % period
         # Index of the low and high side among a box's _sides, and of the
         # coordinates those sides sit at.
         lo_side, lo, hi = (0, 2, 3) if orientation == "h" else (2, 0, 1)

@@ -855,11 +855,18 @@ def test_endpoint_chain_runs_match_the_recut_lines(monkeypatch, kind):
         nonlocal certified
         touched = certify(placement, boxes, edits)
         if touched is not None:
-            chained = {
-                line_id: skeleton._runs(placement, line_id)
-                for line_id in placement.on_line
-            }
-            assert chained == recut_runs(placement)
+            for line_id, runs in recut_runs(placement).items():
+                # No head on a cycle, and a run from each head to the first
+                # end that no bottom starts at.
+                bottoms, heads = skeleton._heads(placement, line_id)
+                period = placement.form(line_id[0])[1]
+                walked = []
+                for head in sorted(heads):
+                    end = head
+                    while end in bottoms:
+                        end = (end + bottoms[end]) % period
+                    walked.append((head, (end - head) % period))
+                assert walked == runs
             certified += 1
         return touched
 
@@ -880,11 +887,11 @@ def test_endpoint_chain_runs_match_the_recut_lines(monkeypatch, kind):
         steps += len(trace)
     assert certified >= reduced + cycles + steps
     assert reduced > 20 and cycles > 15 and steps > 60
-    # A top side alone cannot cancel; chaining its line is refused.
+    # A top side alone cannot cancel; reading its line's heads is refused.
     placement = _Placement((1, 0, 0, 1))
     placement.put((0, 1), "h", 0, 0, 1)
     with pytest.raises(RuntimeError, match="no bottom side"):
-        skeleton._runs(placement, ("h", 0))
+        skeleton._heads(placement, ("h", 0))
 
 
 def recut_target(placement: _Placement):
