@@ -45,10 +45,10 @@ certificate refuses pay the O(n^2) scan of open difference boxes with
 certificate's placement is the one the skeleton and the reduction read.
 
 On a line that cancels, the bottom (left) sides are disjoint and cover what
-the top (right) sides cover.  So each head, a bottom start that is no
-bottom's end, begins one maximal run of sides (``_heads``), a line with no
-head is an axis cycle, and an arc between two cuts is covered exactly when a
-bottom side covers it (``build_skeleton``).
+the top (right) sides cover.  So the line is an axis cycle exactly when their
+lengths sum to its period (``_is_cycle``), each head, a bottom start that is
+no bottom's end, begins one maximal run (``_heads``), and an arc between two
+cuts is covered exactly when a bottom side covers it (``build_skeleton``).
 """
 
 from __future__ import annotations
@@ -80,6 +80,9 @@ class ReductionStepInvalidError(RuntimeError):
 class Orientation(Enum):
     H = "h"
     V = "v"
+
+
+_ORIENTATIONS = {o.value: o for o in Orientation}  # faster than Orientation(value)
 
 
 @dataclass(frozen=True)
@@ -251,35 +254,39 @@ class _Placement:
 
     def __init__(self, cleared: _Ints):
         self.cleared = cleared
-        self.forms: dict[str, tuple[int, int, int]] | None = None
+        self.forms: dict[str, tuple[int, int, int]] = {}
+        self.area = 0  # of the boxes whose sides _certify placed
         self.on_line: dict[_LineId, dict] = {}  # line -> {key: (start, length)}
         self.line_of: dict = {}
         self.touched: set[_LineId] = set()
 
     def form(self, orientation: str) -> tuple[int, int, int]:
-        """The Hermite form (spacing, period, shear) of a line family.
-
-        The forms are built on first use, so a certificate that fails its area
-        test builds none.  A ``cached_property`` in place of this call made
-        the split-reduce benchmark about 8% slower (2-CPU x86_64, Python 3.11).
-        """
-        if self.forms is None:
-            self.forms = dict(zip("hv", axis_forms(*self.cleared)))
+        """The Hermite form (spacing, period, shear) of a line family.  The
+        forms are built on first use; per-side code then reads ``forms``."""
+        if not self.forms:
+            self.forms.update(zip("hv", axis_forms(*self.cleared)))
         return self.forms[orientation]
 
     def put(self, key, orientation: str, x: int, y: int, length: int) -> None:
-        along, offset = (x, y) if orientation == "h" else (y, x)
-        spacing, period, shear = self.form(orientation)
+        if orientation == "h":
+            along, offset = x, y
+        else:
+            along, offset = y, x
+        spacing, period, shear = self.forms.get(orientation) or self.form(orientation)
         # The lattice vector steps*(shear, spacing) moves the segment onto
         # the line of line_key in [0, spacing).
         steps, line_key = divmod(offset, spacing)
         line_id = (orientation, line_key)
         segment = ((along - steps * shear) % period, length)
-        if key in self.line_of:
-            if self.line_of[key] == line_id and self.on_line[line_id][key] == segment:
+        placed = self.line_of.get(key)
+        if placed is not None:
+            if placed == line_id and self.on_line[line_id][key] == segment:
                 return
             self.drop(key)
-        self.on_line.setdefault(line_id, {})[key] = segment
+        segments = self.on_line.get(line_id)
+        if segments is None:
+            self.on_line[line_id] = segments = {}
+        segments[key] = segment
         self.line_of[key] = line_id
         self.touched.add(line_id)
 
@@ -319,29 +326,21 @@ def _bottoms(segments: dict) -> dict[int, int]:
     return {start: n for (_, side), (start, n) in segments.items() if not side % 2}
 
 
-def _sides(box: _Ints):
-    # Bottom, top, left and right side of a box, as segments.
-    x0, x1, y0, y1 = box
-    yield "h", x0, y0, x1 - x0
-    yield "h", x0, y1, x1 - x0
-    yield "v", x0, y0, y1 - y0
-    yield "v", x1, y0, y1 - y0
-
-
 def _cancels(placement: _Placement, line_ids: Iterable[_LineId]) -> bool:
     """Whether every point of these lines has as many bottom (left) sides
-    over it as top (right) sides, with sides keyed (box id, index in
-    ``_sides``).  A line's signed count changes only at side endpoints, so it
-    is 0 everywhere when the signs balance at every endpoint and the count
-    over position 0 is 0; a side [start, start + length) lies over position 0
-    when it starts there or wraps past it.  Lines no longer placed are
-    skipped.
+    over it as top (right) sides, with sides keyed (box id, side index):
+    0 bottom, 1 top, 2 left, 3 right.  A line's signed count changes only at
+    side endpoints, so it is 0 everywhere when the signs balance at every
+    endpoint and the count over position 0 is 0; a side [start, start +
+    length) lies over position 0 when it starts there or wraps past it.
+    Lines no longer placed are skipped.
     """
+    on_line, forms = placement.on_line, placement.forms
     for line_id in line_ids:
-        segments = placement.on_line.get(line_id)
+        segments = on_line.get(line_id)
         if segments is None:
             continue
-        period = placement.form(line_id[0])[1]
+        period = forms[line_id[0]][1]
         jumps: dict[int, int] = {}
         over_zero = 0
         for (_, side), (start, n) in segments.items():
@@ -350,7 +349,8 @@ def _cancels(placement: _Placement, line_ids: Iterable[_LineId]) -> bool:
             if start == 0 or end > period:
                 over_zero += sign
             jumps[start] = jumps.get(start, 0) + sign
-            end %= period
+            if end >= period:  # no side is longer than its line
+                end -= period
             jumps[end] = jumps.get(end, 0) - sign
         if over_zero or any(jumps.values()):
             return False
@@ -363,27 +363,34 @@ def _certify(
     edits: dict[int, _Ints | None],
 ) -> list[_LineId] | None:
     """Apply the edits (box id -> new box, or None to drop the box) to
-    ``boxes`` and to the placement of their sides, keyed (box id, index in
-    ``_sides``).  Returns the lines the edits touched, sorted, when the edited
-    boxes tile the torus, and None when they do not.  Lines left without
-    sides are dropped from the placement (but still returned), and
-    ``placement.touched`` is cleared; no line is cut into arcs.
+    ``boxes``, to the placement's area and to its sides, keyed (box id, side
+    index) as in ``_cancels``.  Returns the lines the edits touched, sorted,
+    when the edited boxes tile the torus, and None when they do not.  Lines
+    left without sides are dropped from the placement (but still returned),
+    and ``placement.touched`` is cleared; no line is cut into arcs.
 
     Exact, by the degree argument of the module docstring, when the boxes
     placed before either tiled the torus or were none: so a whole tiling is
     certified by applying ``dict(enumerate(boxes))`` to an empty placement.
-    The area test runs first and builds no line, then the side-length guard,
+    The area test runs first, on the area kept from the edited boxes, and
+    places no side and builds no Hermite form; then the side-length guard,
     then the endpoint counts of ``_cancels`` on the touched lines.  ``boxes``
-    holds the edited boxes even after None, but the placement is then of no
-    use.
+    and the area hold the edits even after None, but the placement is then of
+    no use.
     """
+    area = placement.area
     for k, box in edits.items():
+        old = boxes.get(k)
+        if old:
+            x0, x1, y0, y1 = old
+            area -= (x1 - x0) * (y1 - y0)
         if box:
-            boxes[k] = box
+            x0, x1, y0, y1 = boxes[k] = box
+            area += (x1 - x0) * (y1 - y0)
         else:
             del boxes[k]
+    placement.area = area
     ux, uy, vx, vy = placement.cleared
-    area = sum((x1 - x0) * (y1 - y0) for x0, x1, y0, y1 in boxes.values())
     if area != abs(ux * vy - uy * vx):
         return None
     width, height = placement.form("h")[1], placement.form("v")[1]
@@ -392,13 +399,17 @@ def _certify(
         for x0, x1, y0, y1 in filter(None, edits.values())
     ):
         return None
+    put, drop = placement.put, placement.drop
     for k, box in edits.items():
         if box:
-            for side, segment in enumerate(_sides(box)):
-                placement.put((k, side), *segment)
+            x0, x1, y0, y1 = box
+            put((k, 0), "h", x0, y0, x1 - x0)
+            put((k, 1), "h", x0, y1, x1 - x0)
+            put((k, 2), "v", x0, y0, y1 - y0)
+            put((k, 3), "v", x1, y0, y1 - y0)
         else:
             for side in range(4):
-                placement.drop((k, side))
+                drop((k, side))
     touched = sorted(placement.touched)
     placement.touched.clear()
     for line_id in touched:
@@ -407,15 +418,23 @@ def _certify(
     return touched if _cancels(placement, touched) else None
 
 
+def _is_cycle(placement: _Placement, line_id: _LineId) -> bool:
+    """Whether a line that cancels is an axis cycle: its disjoint bottom (left)
+    sides sum to its period.  Raises RuntimeError if it has none, as it cannot."""
+    covered = 0
+    for (_, side), (_, n) in placement.on_line[line_id].items():
+        if not side % 2:
+            covered += n
+    if not covered:
+        raise RuntimeError(f"line {line_id} has sides but no bottom side")
+    return covered == placement.forms[line_id[0]][1]
+
+
 def _heads(placement: _Placement, line_id: _LineId) -> tuple[dict[int, int], set[int]]:
     """The bottom (left) sides {start: length} of a line that cancels, and its
-    heads, the starts that are no bottom's end: one per maximal run, none on a
-    cycle.  Raises RuntimeError when the line has sides but no bottom side,
-    which a line that cancels cannot."""
-    period = placement.form(line_id[0])[1]
+    heads, the starts that are no bottom's end: one per maximal run."""
+    period = placement.forms[line_id[0]][1]
     bottoms = _bottoms(placement.on_line[line_id])
-    if not bottoms:
-        raise RuntimeError(f"line {line_id} has sides but no bottom side")
     ends = {(start + n) % period for start, n in bottoms.items()}
     return bottoms, bottoms.keys() - ends
 
@@ -465,14 +484,15 @@ def build_skeleton(tiling: Tiling) -> Skeleton:
     edges.sort()
     # Every corner image starts an edge: the rectangle just above and right of
     # a corner has it on its bottom or left side, short of the side's end.  So
-    # the vertices are the edge origins.
-    vertices = {w: _point(den, *w) for w in sorted({w for _, w, _ in edges})}
-    lengths = {n: Fraction(n, den) for _, _, n in edges}
+    # the vertices are the edge origins.  One Fraction per distinct integer.
+    fraction = {c: Fraction(c, den) for c in {c for e in edges for c in (*e[1], e[2])}}
+    origins = sorted({w for _, w, _ in edges})
+    vertices = {w: TorusPoint(Vec2(fraction[w[0]], fraction[w[1]])) for w in origins}
     return Skeleton(
         tiling.basis,
         tuple(vertices.values()),
         tuple(
-            SkeletonEdge(vertices[w], Orientation(axis), lengths[n])
+            SkeletonEdge(vertices[w], _ORIENTATIONS[axis], fraction[n])
             for axis, w, n in edges
         ),
     )
@@ -598,13 +618,13 @@ def reduce_tiling_with_trace(
     endpoint-count certificate of the module docstring (``_certify``), and
     the reduction reads the certificate's placement of the sides without
     cutting any line into arcs.  Each line a step touched is checked for a
-    cycle by its heads (``_heads``), and only the chosen path is walked: the
-    run from the least head on the least line of the first axis with two
-    runs.  A side lies on it when its start is less than the run's length
-    past the run's start, going around the line.  No rectangle pair is
-    scanned unless a check fails: the input's or a step's failure raises with
-    the full O(n^2) verification report.  The reduced tiling is verified pair
-    by pair once more.
+    cycle by the length of its bottom (left) sides (``_is_cycle``), and only
+    the chosen path is walked: the run from the least head (``_heads``) on the
+    least line of the first axis with two runs.  A side lies on it when its
+    start is less than the run's length past the run's start, going around
+    the line.  No rectangle pair is scanned unless a check fails: the input's
+    or a step's failure raises with the full O(n^2) verification report.  The
+    reduced tiling is verified pair by pair once more.
 
     Raises CycleExistsError when the input has an axis cycle, and also when a
     step creates one (the message then names the step), since the shift
@@ -619,7 +639,7 @@ def reduce_tiling_with_trace(
     for _ in range(len(boxes) + 2):
         # Only a line a step touched can have closed into a cycle.
         for line_id in touched:
-            if line_id in placement.on_line and not _heads(placement, line_id)[1]:
+            if line_id in placement.on_line and _is_cycle(placement, line_id):
                 after = f" after step {len(steps)}" if steps else ""
                 raise CycleExistsError(
                     f"{line_id[0]}-cycle on line {Fraction(line_id[1], den)}"
@@ -641,8 +661,8 @@ def reduce_tiling_with_trace(
         while end in bottoms:
             end = (end + bottoms[end]) % period
         target_length = (end - target_start) % period
-        # Index of the low and high side among a box's _sides, and of the
-        # coordinates those sides sit at.
+        # Index of the low and high side among a box's sides (as in _cancels),
+        # and of the coordinates those sides sit at.
         lo_side, lo, hi = (0, 2, 3) if orientation == "h" else (2, 0, 1)
 
         # Per box id with a side on the path, whether its low and its high side are.
@@ -698,7 +718,7 @@ def reduce_tiling_with_trace(
             raise ReductionStepInvalidError("reduction step did not shorten the tiling")
         steps.append(
             ReductionStep(
-                axis=Orientation(orientation),
+                axis=_ORIENTATIONS[orientation],
                 line_key=Fraction(target_line[1], den),
                 path_start=Fraction(target_start, den),
                 mirrored=mirrored,

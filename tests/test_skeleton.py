@@ -762,6 +762,11 @@ def random_box_edit(rng, cleared, boxes):
     return {i: single(i) for i in chosen}
 
 
+def box_area(box) -> int:
+    x0, x1, y0, y1 = box
+    return (x1 - x0) * (y1 - y0)
+
+
 def test_step_check_agrees_with_full_verification():
     rng = random.Random(53)
     valid = balanced_invalid = 0
@@ -778,13 +783,22 @@ def test_step_check_agrees_with_full_verification():
             edited = [edits.get(k, box) for k, box in enumerate(boxes)]
             edited = [box for box in edited if box]
             full = _violations(den, cleared, edited)
-            whole = _certify(_Placement(cleared), {}, dict(enumerate(edited)))
+            whole_placement, whole_placed = _Placement(cleared), {}
+            whole = _certify(whole_placement, whole_placed, dict(enumerate(edited)))
             assert (whole is not None) == (not full), (edits, full)
+            assert whole_placement.area == sum(map(box_area, whole_placed.values()))
+            # A certificate refused on area builds no Hermite form.
+            ux, uy, vx, vy = cleared
+            on_area = whole_placement.area == abs(ux * vy - uy * vx)
+            assert bool(whole_placement.forms) == on_area
             # The reduction's incremental form, from the unedited placement.
             placement, placed = _Placement(cleared), {}
             assert _certify(placement, placed, dict(enumerate(boxes))) is not None
+            assert placement.area == sum(map(box_area, placed.values()))
             step = _certify(placement, placed, edits)
             assert (step is not None) == (not full), (edits, full)
+            # The kept area follows the edits, also when they are refused.
+            assert placement.area == sum(map(box_area, placed.values()))
             valid += not full
             balanced_invalid += bool(full) and all(
                 v.kind is not ViolationKind.COVERAGE for v in full
@@ -792,10 +806,18 @@ def test_step_check_agrees_with_full_verification():
     assert valid > 150 and balanced_invalid > 150
 
 
+# The seeds in use find one on the first draw at 16 and 32 rectangles and on
+# the third at 64.
+CYCLE_FREE_DRAWS = 50
+
+
 def cycle_free_split_tiling(seed: int, count: int) -> Tiling:
-    """A split tiling of count rectangles that reduces without meeting a cycle."""
+    """A split tiling of count rectangles that reduces without meeting a cycle.
+
+    Fails after CYCLE_FREE_DRAWS bases, so that a reduction that wrongly
+    finds a cycle everywhere fails the caller instead of hanging it."""
     rng = random.Random(seed)
-    while True:
+    for _ in range(CYCLE_FREE_DRAWS):
         basis = random_int_basis(rng, bound=20)
         rep = min_length(basis)
         if rep.winner is not Winner.TWO_RECT:
@@ -808,6 +830,10 @@ def cycle_free_split_tiling(seed: int, count: int) -> Tiling:
         except CycleExistsError:
             continue
         return t
+    pytest.fail(
+        f"seed {seed}: no cycle-free split tiling of {count} rectangles "
+        f"in {CYCLE_FREE_DRAWS} draws"
+    )
 
 
 # Rechecking every step in full made 3309 box queries on the 32-rectangle
@@ -856,9 +882,12 @@ def test_endpoint_chain_runs_match_the_recut_lines(monkeypatch, kind):
         touched = certify(placement, boxes, edits)
         if touched is not None:
             for line_id, runs in recut_runs(placement).items():
-                # No head on a cycle, and a run from each head to the first
-                # end that no bottom starts at.
+                # A cycle by bottom length exactly where there is no head and
+                # the oracle finds a cycle.
                 bottoms, heads = skeleton._heads(placement, line_id)
+                cycle = skeleton._is_cycle(placement, line_id)
+                assert cycle == (not heads) == (runs == [])
+                # A run from each head to the first end that no bottom starts at.
                 period = placement.form(line_id[0])[1]
                 walked = []
                 for head in sorted(heads):
@@ -887,11 +916,11 @@ def test_endpoint_chain_runs_match_the_recut_lines(monkeypatch, kind):
         steps += len(trace)
     assert certified >= reduced + cycles + steps
     assert reduced > 20 and cycles > 15 and steps > 60
-    # A top side alone cannot cancel; reading its line's heads is refused.
+    # A top side alone cannot cancel; checking its line for a cycle is refused.
     placement = _Placement((1, 0, 0, 1))
     placement.put((0, 1), "h", 0, 0, 1)
     with pytest.raises(RuntimeError, match="no bottom side"):
-        skeleton._heads(placement, ("h", 0))
+        skeleton._is_cycle(placement, ("h", 0))
 
 
 def recut_target(placement: _Placement):
