@@ -46,9 +46,9 @@ certificate's placement is the one the skeleton and the reduction read.
 
 On a line that cancels, the bottom (left) sides are disjoint and cover what
 the top (right) sides cover.  So the line is an axis cycle exactly when their
-lengths sum to its period (``_is_cycle``), each head, a bottom start that is
-no bottom's end, begins one maximal run (``_heads``), and an arc between two
-cuts is covered exactly when a bottom side covers it (``build_skeleton``).
+lengths sum to its period (``_is_cycle``), the chains of its bottom sides
+(``_chains``) are its maximal runs, and an arc between two cuts is covered
+exactly when a bottom side covers it (``build_skeleton``).
 """
 
 from __future__ import annotations
@@ -164,7 +164,7 @@ def verify_tiling(tiling: Tiling) -> VerificationReport:
     refuses is scanned pair by pair, in O(n^2) box queries, for the report.
     """
     den, cleared, boxes = _clear(tiling)
-    if _certify(_Placement(cleared), {}, dict(enumerate(boxes))) is not None:
+    if _certify(_Placement(cleared), dict(enumerate(boxes))) is not None:
         return VerificationReport(valid=True, violations=())
     violations = _refuted(den, cleared, boxes)
     return VerificationReport(valid=False, violations=tuple(violations))
@@ -255,14 +255,16 @@ class _Placement:
     def __init__(self, cleared: _Ints):
         self.cleared = cleared
         self.forms: dict[str, tuple[int, int, int]] = {}
-        self.area = 0  # of the boxes whose sides _certify placed
+        self.boxes: dict[int, _Ints] = {}  # the boxes whose sides _certify placed
+        self.area = 0  # of those boxes
         self.on_line: dict[_LineId, dict] = {}  # line -> {key: (start, length)}
         self.line_of: dict = {}
         self.touched: set[_LineId] = set()
 
     def form(self, orientation: str) -> tuple[int, int, int]:
         """The Hermite form (spacing, period, shear) of a line family.  The
-        forms are built on first use; per-side code then reads ``forms``."""
+        forms are built on first use, before any ``put``; per-side code then
+        reads ``forms``."""
         if not self.forms:
             self.forms.update(zip("hv", axis_forms(*self.cleared)))
         return self.forms[orientation]
@@ -272,7 +274,7 @@ class _Placement:
             along, offset = x, y
         else:
             along, offset = y, x
-        spacing, period, shear = self.forms.get(orientation) or self.form(orientation)
+        spacing, period, shear = self.forms[orientation]
         # The lattice vector steps*(shear, spacing) moves the segment onto
         # the line of line_key in [0, spacing).
         steps, line_key = divmod(offset, spacing)
@@ -333,17 +335,13 @@ def _cancels(placement: _Placement, line_ids: Iterable[_LineId]) -> bool:
     side endpoints, so it is 0 everywhere when the signs balance at every
     endpoint and the count over position 0 is 0; a side [start, start +
     length) lies over position 0 when it starts there or wraps past it.
-    Lines no longer placed are skipped.
     """
     on_line, forms = placement.on_line, placement.forms
     for line_id in line_ids:
-        segments = on_line.get(line_id)
-        if segments is None:
-            continue
         period = forms[line_id[0]][1]
         jumps: dict[int, int] = {}
         over_zero = 0
-        for (_, side), (start, n) in segments.items():
+        for (_, side), (start, n) in on_line[line_id].items():
             sign = -1 if side % 2 else 1  # top and right sides are odd
             end = start + n
             if start == 0 or end > period:
@@ -358,27 +356,25 @@ def _cancels(placement: _Placement, line_ids: Iterable[_LineId]) -> bool:
 
 
 def _certify(
-    placement: _Placement,
-    boxes: dict[int, _Ints],
-    edits: dict[int, _Ints | None],
+    placement: _Placement, edits: dict[int, _Ints | None]
 ) -> list[_LineId] | None:
-    """Apply the edits (box id -> new box, or None to drop the box) to
-    ``boxes``, to the placement's area and to its sides, keyed (box id, side
-    index) as in ``_cancels``.  Returns the lines the edits touched, sorted,
-    when the edited boxes tile the torus, and None when they do not.  Lines
-    left without sides are dropped from the placement (but still returned),
-    and ``placement.touched`` is cleared; no line is cut into arcs.
+    """Apply the edits (box id -> new box, or None to drop the box) to the
+    placement's boxes, its area and its sides, keyed (box id, side index) as
+    in ``_cancels``.  Returns the lines the edits touched that still hold a
+    side, sorted, when the edited boxes tile the torus, and None when they do
+    not.  Lines left without sides are dropped from the placement, and
+    ``placement.touched`` is cleared; no line is cut into arcs.
 
     Exact, by the degree argument of the module docstring, when the boxes
     placed before either tiled the torus or were none: so a whole tiling is
     certified by applying ``dict(enumerate(boxes))`` to an empty placement.
     The area test runs first, on the area kept from the edited boxes, and
     places no side and builds no Hermite form; then the side-length guard,
-    then the endpoint counts of ``_cancels`` on the touched lines.  ``boxes``
-    and the area hold the edits even after None, but the placement is then of
-    no use.
+    then the endpoint counts of ``_cancels`` on the touched lines.  The boxes
+    and the area hold the edits even after None, but the sides are then of no
+    use.
     """
-    area = placement.area
+    boxes, area = placement.boxes, placement.area
     for k, box in edits.items():
         old = boxes.get(k)
         if old:
@@ -410,11 +406,13 @@ def _certify(
         else:
             for side in range(4):
                 drop((k, side))
-    touched = sorted(placement.touched)
+    on_line, touched = placement.on_line, []
+    for line_id in sorted(placement.touched):
+        if on_line[line_id]:
+            touched.append(line_id)
+        else:
+            del on_line[line_id]
     placement.touched.clear()
-    for line_id in touched:
-        if not placement.on_line[line_id]:
-            del placement.on_line[line_id]
     return touched if _cancels(placement, touched) else None
 
 
@@ -430,15 +428,6 @@ def _is_cycle(placement: _Placement, line_id: _LineId) -> bool:
     return covered == placement.forms[line_id[0]][1]
 
 
-def _heads(placement: _Placement, line_id: _LineId) -> tuple[dict[int, int], set[int]]:
-    """The bottom (left) sides {start: length} of a line that cancels, and its
-    heads, the starts that are no bottom's end: one per maximal run."""
-    period = placement.forms[line_id[0]][1]
-    bottoms = _bottoms(placement.on_line[line_id])
-    ends = {(start + n) % period for start, n in bottoms.items()}
-    return bottoms, bottoms.keys() - ends
-
-
 def _refuted(den: int, cleared: _Ints, boxes: list[_Ints]) -> list[Violation]:
     # The report on boxes the certificate refused, which must hold a violation.
     violations = _violations(den, cleared, boxes)
@@ -447,14 +436,14 @@ def _refuted(den: int, cleared: _Ints, boxes: list[_Ints]) -> list[Violation]:
     return violations
 
 
-def _clear_valid(tiling: Tiling) -> tuple[int, _Ints, dict[int, _Ints], _Placement]:
-    # The integer form of a tiling that must verify, its boxes keyed by
-    # index, and its sides' placement.
+def _clear_valid(tiling: Tiling) -> tuple[int, _Placement]:
+    # The denominator of a tiling that must verify, and the placement of its
+    # boxes, keyed by index, and their sides.
     den, cleared, boxes = _clear(tiling)
-    placement, placed = _Placement(cleared), {}
-    if _certify(placement, placed, dict(enumerate(boxes))) is None:
+    placement = _Placement(cleared)
+    if _certify(placement, dict(enumerate(boxes))) is None:
         raise InvalidTilingError(_violation_text(_refuted(den, cleared, boxes)))
-    return den, cleared, placed, placement
+    return den, placement
 
 
 def build_skeleton(tiling: Tiling) -> Skeleton:
@@ -469,8 +458,8 @@ def build_skeleton(tiling: Tiling) -> Skeleton:
     the latest start at or before it, around the line, covers it: on a line
     that cancels the bottom sides are disjoint and cover all that is covered.
     """
-    den, cleared, _, placement = _clear_valid(tiling)
-    edges = []
+    den, placement = _clear_valid(tiling)
+    cleared, edges = placement.cleared, []
     for (orientation, key), segments in placement.on_line.items():
         period = placement.form(orientation)[1]
         bottoms = _bottoms(segments)
@@ -619,12 +608,13 @@ def reduce_tiling_with_trace(
     the reduction reads the certificate's placement of the sides without
     cutting any line into arcs.  Each line a step touched is checked for a
     cycle by the length of its bottom (left) sides (``_is_cycle``), and only
-    the chosen path is walked: the run from the least head (``_heads``) on the
-    least line of the first axis with two runs.  A side lies on it when its
-    start is less than the run's length past the run's start, going around
-    the line.  No rectangle pair is scanned unless a check fails: the input's
-    or a step's failure raises with the full O(n^2) verification report.  The
-    reduced tiling is verified pair by pair once more.
+    the chosen line is walked: the chosen path is the first chain of its
+    bottom sides (``_chains``), on the least line of the first axis with two
+    runs.  A side lies on it when its start is less than the path's length
+    past the path's start, going around the line.  No rectangle pair is
+    scanned unless a check fails: the input's or a step's failure raises with
+    the full O(n^2) verification report.  The reduced tiling is verified pair
+    by pair once more.
 
     Raises CycleExistsError when the input has an axis cycle, and also when a
     step creates one (the message then names the step), since the shift
@@ -632,14 +622,15 @@ def reduce_tiling_with_trace(
     """
     # Boxes are keyed by their index in the input, which they keep while the
     # indices of the boxes after an eliminated one drop.
-    den, cleared, boxes, placement = _clear_valid(tiling)
+    den, placement = _clear_valid(tiling)
+    cleared, boxes = placement.cleared, placement.boxes
     length = sum(map(_half_perimeter, boxes.values()))
     steps: list[ReductionStep] = []
     touched = sorted(placement.on_line)
     for _ in range(len(boxes) + 2):
         # Only a line a step touched can have closed into a cycle.
         for line_id in touched:
-            if line_id in placement.on_line and _is_cycle(placement, line_id):
+            if _is_cycle(placement, line_id):
                 after = f" after step {len(steps)}" if steps else ""
                 raise CycleExistsError(
                     f"{line_id[0]}-cycle on line {Fraction(line_id[1], den)}"
@@ -647,20 +638,19 @@ def reduce_tiling_with_trace(
                 )
 
         # Each placed line holds a run, so an axis holds two runs when it has
-        # two lines or its least line has two heads.
+        # two lines or its least line has two chains.
         for orientation in "hv":
             lines = [line for line in placement.on_line if line[0] == orientation]
             target_line = min(lines)
-            bottoms, heads = _heads(placement, target_line)
-            if len(lines) > 1 or len(heads) > 1:
+            period = placement.forms[orientation][1]
+            bottoms = _bottoms(placement.on_line[target_line])
+            runs = _chains(bottoms, period)
+            if len(lines) > 1 or len(runs) > 1:
                 break
         else:
             break
-        period = placement.form(orientation)[1]
-        target_start = end = min(heads)
-        while end in bottoms:
-            end = (end + bottoms[end]) % period
-        target_length = (end - target_start) % period
+        target_start, last = runs[0][0], runs[0][-1]
+        target_length = (last + bottoms[last] - target_start) % period
         # Index of the low and high side among a box's sides (as in _cancels),
         # and of the coordinates those sides sit at.
         lo_side, lo, hi = (0, 2, 3) if orientation == "h" else (2, 0, 1)
@@ -708,7 +698,7 @@ def reduce_tiling_with_trace(
             (_half_perimeter(new) if new else 0) - _half_perimeter(boxes[k])
             for k, new in edits.items()
         )
-        touched = _certify(placement, boxes, edits)
+        touched = _certify(placement, edits)
         if touched is None:
             violations = _refuted(den, cleared, list(boxes.values()))
             raise ReductionStepInvalidError(

@@ -332,13 +332,13 @@ def recut_lines(placement: _Placement) -> tuple[dict, dict]:
 
 def recut_skeleton(tiling: Tiling) -> Skeleton:
     """``build_skeleton`` read off ``recut_lines``: an edge per covered arc."""
-    den, cleared, _, placement = _clear_valid(tiling)
+    den, placement = _clear_valid(tiling)
     lines, _ = recut_lines(placement)
     corners, edges = set(), []
     for (orientation, key), line in lines.items():
         for i, cut in enumerate(line.cuts):
             x, y = (cut, key) if orientation == "h" else (key, cut)
-            w = _canonical(cleared, x, y)
+            w = _canonical(placement.cleared, x, y)
             if orientation == "h":
                 corners.add(w)
             if line.covered[i]:

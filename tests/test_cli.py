@@ -172,6 +172,12 @@ def test_verify_rejects_a_number_in_place_of_a_rational_string(capsys, tmp_path)
     assert code == 1 and "not a rational literal" in err and out == ""
 
 
+def test_minlen_rejects_digits_outside_ascii(capsys):
+    # Arabic-Indic three and one: Python's int() would read them.
+    code, out, err = run(capsys, "minlen", "-b", "\u0663 0 0 \u0661")
+    assert code == 1 and "not a rational literal" in err and out == ""
+
+
 def test_verify_rejects_a_file_that_is_not_utf8(capsys, tmp_path):
     path = tmp_path / "binary.json"
     path.write_bytes(b"\xff\xfe")

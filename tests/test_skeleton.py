@@ -140,6 +140,7 @@ def test_axis_form_matches_axis_periods_and_locate_is_lattice_invariant(kind):
             for orientation, d in ((Orientation.H, per.d_x), (Orientation.V, per.d_y)):
                 h_line = orientation is Orientation.H
                 placement = _Placement(cleared)
+                period = placement.form(orientation.value)[1]
                 placement.put(0, orientation.value, px, py, length_int)
                 placement.put(1, orientation.value, qx, qy, length_int)
                 placed = [
@@ -151,7 +152,7 @@ def test_axis_form_matches_axis_periods_and_locate_is_lattice_invariant(kind):
                 key = Fraction(line_id[1], place_den)
                 coord = Fraction(start, place_den)
                 assert 0 <= key < basis.covolume / d and 0 <= coord < d
-                assert Fraction(placement.form(orientation.value)[1], place_den) == d
+                assert Fraction(period, place_den) == d
                 assert contains(basis, (Vec2(coord, key) if h_line else Vec2(key, coord)) - p)
 
 
@@ -207,7 +208,7 @@ def test_certificate_agrees_with_full_verification_on_edge_cases(monkeypatch):
     verdicts, edit_puts = [], []
     for t in cases:
         den, cleared, boxes = _clear(t)
-        whole = _certify(_Placement(cleared), {}, dict(enumerate(boxes)))
+        whole = _certify(_Placement(cleared), dict(enumerate(boxes)))
         certified = whole is not None
         assert certified == (not _violations(den, cleared, boxes)), t
         assert certified == verify_tiling(t).valid
@@ -216,13 +217,13 @@ def test_certificate_agrees_with_full_verification_on_edge_cases(monkeypatch):
         # replaces it and the others join.
         one_rect = build_one_rect(t.basis, Axis.X).rects
         den, cleared, boxes = _clear(Tiling(t.basis, one_rect + t.rects))
-        placement, placed = _Placement(cleared), {}
-        assert _certify(placement, placed, {0: boxes[0]}) is not None
+        placement = _Placement(cleared)
+        assert _certify(placement, {0: boxes[0]}) is not None
         puts = 0
         edits = dict(enumerate(boxes[1:]))
-        edited = _certify(placement, placed, edits) is not None
+        edited = _certify(placement, edits) is not None
         assert edited == (not _violations(den, cleared, boxes[1:])), t
-        assert placed == edits
+        assert placement.boxes == edits
         edit_puts.append(puts)
     assert verdicts == [True, True, False, False, False, False, False]
     # A box that fails the area test or has a side longer than its line
@@ -264,7 +265,7 @@ def test_certificate_counts_the_sides_over_line_position_zero():
     for t, valid in cases:
         assert sum(r.area for r in t.rects) == t.basis.covolume
         den, cleared, boxes = _clear(t)
-        whole = _certify(_Placement(cleared), {}, dict(enumerate(boxes)))
+        whole = _certify(_Placement(cleared), dict(enumerate(boxes)))
         assert (whole is not None) == valid == (not _violations(den, cleared, boxes)), t
         assert verify_tiling(t).valid == valid
 
@@ -762,14 +763,14 @@ def random_box_edit(rng, cleared, boxes):
     return {i: single(i) for i in chosen}
 
 
-def box_area(box) -> int:
-    x0, x1, y0, y1 = box
-    return (x1 - x0) * (y1 - y0)
+def placed_area(placement) -> int:
+    """The area of the boxes a placement holds, summed afresh."""
+    return sum((x1 - x0) * (y1 - y0) for x0, x1, y0, y1 in placement.boxes.values())
 
 
 def test_step_check_agrees_with_full_verification():
     rng = random.Random(53)
-    valid = balanced_invalid = 0
+    valid = balanced_invalid = emptied = 0
     for trial in range(300):
         if trial % 2:
             basis = random_rational_basis(rng)
@@ -783,27 +784,43 @@ def test_step_check_agrees_with_full_verification():
             edited = [edits.get(k, box) for k, box in enumerate(boxes)]
             edited = [box for box in edited if box]
             full = _violations(den, cleared, edited)
-            whole_placement, whole_placed = _Placement(cleared), {}
-            whole = _certify(whole_placement, whole_placed, dict(enumerate(edited)))
+            whole_placement = _Placement(cleared)
+            whole = _certify(whole_placement, dict(enumerate(edited)))
             assert (whole is not None) == (not full), (edits, full)
-            assert whole_placement.area == sum(map(box_area, whole_placed.values()))
+            assert whole_placement.boxes == dict(enumerate(edited))
+            assert whole_placement.area == placed_area(whole_placement)
+            # A whole tiling touches every line it places.
+            assert whole is None or whole == sorted(whole_placement.on_line)
             # A certificate refused on area builds no Hermite form.
             ux, uy, vx, vy = cleared
             on_area = whole_placement.area == abs(ux * vy - uy * vx)
             assert bool(whole_placement.forms) == on_area
             # The reduction's incremental form, from the unedited placement.
-            placement, placed = _Placement(cleared), {}
-            assert _certify(placement, placed, dict(enumerate(boxes))) is not None
-            assert placement.area == sum(map(box_area, placed.values()))
-            step = _certify(placement, placed, edits)
+            placement = _Placement(cleared)
+            assert _certify(placement, dict(enumerate(boxes))) is not None
+            assert placement.area == placed_area(placement)
+            before = {line: dict(sides) for line, sides in placement.on_line.items()}
+            step = _certify(placement, edits)
             assert (step is not None) == (not full), (edits, full)
             # The kept area follows the edits, also when they are refused.
-            assert placement.area == sum(map(box_area, placed.values()))
+            assert placement.area == placed_area(placement)
+            # No line is left without a side: a line whose last side an edit
+            # removed is no longer placed.  The step returns exactly the
+            # lines whose sides changed and that still hold one.
+            after = placement.on_line
+            assert all(after.values())
+            changed = {
+                line
+                for line in before.keys() | after.keys()
+                if before.get(line) != after.get(line)
+            }
+            emptied += bool(changed - after.keys())
+            assert step is None or step == sorted(changed & after.keys())
             valid += not full
             balanced_invalid += bool(full) and all(
                 v.kind is not ViolationKind.COVERAGE for v in full
             )
-    assert valid > 150 and balanced_invalid > 150
+    assert valid > 150 and balanced_invalid > 150 and emptied > 100
 
 
 # The seeds in use find one on the first draw at 16 and 32 rectangles and on
@@ -876,26 +893,25 @@ def test_endpoint_chain_runs_match_the_recut_lines(monkeypatch, kind):
     certify = skeleton._certify
     certified = 0
 
-    def checking(placement, boxes, edits):
+    def checking(placement, edits):
         # The input's certificate and each step's.
         nonlocal certified
-        touched = certify(placement, boxes, edits)
+        touched = certify(placement, edits)
         if touched is not None:
             for line_id, runs in recut_runs(placement).items():
-                # A cycle by bottom length exactly where there is no head and
-                # the oracle finds a cycle.
-                bottoms, heads = skeleton._heads(placement, line_id)
+                # A cycle by bottom length exactly where the oracle finds one.
                 cycle = skeleton._is_cycle(placement, line_id)
-                assert cycle == (not heads) == (runs == [])
-                # A run from each head to the first end that no bottom starts at.
+                assert cycle == (runs == [])
+                # Each chain of bottom sides is a run, from its head to the end
+                # of its last side; a cycle is one chain, from the least
+                # start, that closes the line.
                 period = placement.form(line_id[0])[1]
-                walked = []
-                for head in sorted(heads):
-                    end = head
-                    while end in bottoms:
-                        end = (end + bottoms[end]) % period
-                    walked.append((head, (end - head) % period))
-                assert walked == runs
+                bottoms = skeleton._bottoms(placement.on_line[line_id])
+                chains = [
+                    (chain[0], (chain[-1] + bottoms[chain[-1]] - chain[0]) % period)
+                    for chain in skeleton._chains(bottoms, period)
+                ]
+                assert chains == ([(min(bottoms), 0)] if cycle else runs)
             certified += 1
         return touched
 
@@ -918,6 +934,7 @@ def test_endpoint_chain_runs_match_the_recut_lines(monkeypatch, kind):
     assert reduced > 20 and cycles > 15 and steps > 60
     # A top side alone cannot cancel; checking its line for a cycle is refused.
     placement = _Placement((1, 0, 0, 1))
+    placement.form("h")
     placement.put((0, 1), "h", 0, 0, 1)
     with pytest.raises(RuntimeError, match="no bottom side"):
         skeleton._is_cycle(placement, ("h", 0))
@@ -943,9 +960,9 @@ def test_reduction_targets_the_run_the_recut_lines_choose(monkeypatch, kind):
     certify = skeleton._certify
     targets = []
 
-    def recording(placement, boxes, edits):
+    def recording(placement, edits):
         # The target after the input's certificate and after each step's.
-        touched = certify(placement, boxes, edits)
+        touched = certify(placement, edits)
         if touched is not None:
             targets.append(recut_target(placement))
         return touched
@@ -1021,7 +1038,7 @@ def test_only_the_skeleton_cuts_lines_into_arcs(monkeypatch):
         reduce_tiling_with_trace(Tiling(UNIT, (Rect(0, 2, 0, 1),)))
     assert calls == 0
     build_skeleton(t)
-    assert calls == len(skeleton._clear_valid(t)[3].on_line) > 2
+    assert calls == len(skeleton._clear_valid(t)[1].on_line) > 2
 
 
 @pytest.mark.parametrize("count", [32, 64])
