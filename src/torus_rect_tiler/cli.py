@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 from .exact_math import Vec2, parse_rational, sign_key
@@ -105,7 +106,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_basis(text: str) -> LatticeBasis:
-    parts = text.split()
+    # Only ASCII whitespace separates the rationals, as in parse_rational.
+    parts = re.findall(r"\S+", text, re.ASCII)
     if len(parts) != 4:
         raise ValueError(
             f"basis needs four rationals 'ux uy vx vy', got {len(parts)} items"

@@ -14,22 +14,22 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?\Z", re.ASCII)  # no other digits
+# ASCII digits, and only the six ASCII whitespace characters around them.
+_RATIONAL_RE = re.compile(r"\s*([+-]?\d+(?:/\d+)?)\s*", re.ASCII)
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "n" or "n/d" with an optional sign.
+    """Parse "n" or "n/d" with an optional sign, between ASCII whitespace.
 
     Rejects anything outside that grammar (floats, exponents, empty or zero
-    denominators) and any argument that is not a ``str`` with ValueError.
+    denominators, non-ASCII digits or spaces) and any argument that is not a
+    ``str`` with ValueError.
     """
-    if not isinstance(text, str):
-        raise ValueError(f"not a rational literal: {text!r}")
-    s = text.strip()
-    if not _RATIONAL_RE.match(s):
+    match = _RATIONAL_RE.fullmatch(text) if isinstance(text, str) else None
+    if not match:
         raise ValueError(f"not a rational literal: {text!r}")
     try:
-        return Fraction(s)
+        return Fraction(match[1])
     except ZeroDivisionError:
         raise ValueError(f"zero denominator: {text!r}") from None
 

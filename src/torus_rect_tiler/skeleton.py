@@ -46,7 +46,7 @@ certificate's placement is the one the skeleton and the reduction read.
 
 On a line that cancels, the bottom (left) sides are disjoint and cover what
 the top (right) sides cover.  So the line is an axis cycle exactly when their
-lengths sum to its period (``_is_cycle``), the chains of its bottom sides
+lengths sum to its period (``_cancels``), the chains of its bottom sides
 (``_chains``) are its maximal runs, and an arc between two cuts is covered
 exactly when a bottom side covers it (``build_skeleton``).
 """
@@ -328,21 +328,27 @@ def _bottoms(segments: dict) -> dict[int, int]:
     return {start: n for (_, side), (start, n) in segments.items() if not side % 2}
 
 
-def _cancels(placement: _Placement, line_ids: Iterable[_LineId]) -> bool:
-    """Whether every point of these lines has as many bottom (left) sides
-    over it as top (right) sides, with sides keyed (box id, side index):
-    0 bottom, 1 top, 2 left, 3 right.  A line's signed count changes only at
-    side endpoints, so it is 0 everywhere when the signs balance at every
-    endpoint and the count over position 0 is 0; a side [start, start +
-    length) lies over position 0 when it starts there or wraps past it.
+def _cancels(
+    placement: _Placement, line_ids: Iterable[_LineId]
+) -> list[_LineId] | None:
+    """The axis cycles among these lines, in their order, when every point of
+    them has as many bottom (left) sides over it as top (right) sides, and
+    None when one does not; sides are keyed (box id, side index): 0 bottom,
+    1 top, 2 left, 3 right.  A line's signed count changes only at side
+    endpoints, so it is 0 everywhere when the signs balance at every endpoint
+    and the count over position 0 is 0; a side [start, start + length) lies
+    over position 0 when it starts there or wraps past it.  A line that
+    cancels is a cycle exactly when its bottom sides sum to its period.
     """
-    on_line, forms = placement.on_line, placement.forms
+    on_line, forms, cycles = placement.on_line, placement.forms, []
     for line_id in line_ids:
         period = forms[line_id[0]][1]
         jumps: dict[int, int] = {}
-        over_zero = 0
+        over_zero = covered = 0
         for (_, side), (start, n) in on_line[line_id].items():
             sign = -1 if side % 2 else 1  # top and right sides are odd
+            if sign > 0:
+                covered += n
             end = start + n
             if start == 0 or end > period:
                 over_zero += sign
@@ -351,8 +357,12 @@ def _cancels(placement: _Placement, line_ids: Iterable[_LineId]) -> bool:
                 end -= period
             jumps[end] = jumps.get(end, 0) - sign
         if over_zero or any(jumps.values()):
-            return False
-    return True
+            return None
+        if not covered:
+            raise RuntimeError(f"line {line_id} has sides but no bottom side")
+        if covered == period:
+            cycles.append(line_id)
+    return cycles
 
 
 def _certify(
@@ -360,19 +370,20 @@ def _certify(
 ) -> list[_LineId] | None:
     """Apply the edits (box id -> new box, or None to drop the box) to the
     placement's boxes, its area and its sides, keyed (box id, side index) as
-    in ``_cancels``.  Returns the lines the edits touched that still hold a
-    side, sorted, when the edited boxes tile the torus, and None when they do
-    not.  Lines left without sides are dropped from the placement, and
-    ``placement.touched`` is cleared; no line is cut into arcs.
+    in ``_cancels``.  Returns the touched lines that are axis cycles, sorted
+    (often none: test the result with ``is None``), when the edited boxes
+    tile the torus, and None when they do not.  Lines left without sides are
+    dropped from the placement, and ``placement.touched`` is cleared; no line
+    is cut into arcs.
 
     Exact, by the degree argument of the module docstring, when the boxes
     placed before either tiled the torus or were none: so a whole tiling is
     certified by applying ``dict(enumerate(boxes))`` to an empty placement.
     The area test runs first, on the area kept from the edited boxes, and
     places no side and builds no Hermite form; then the side-length guard,
-    then the endpoint counts of ``_cancels`` on the touched lines.  The boxes
-    and the area hold the edits even after None, but the sides are then of no
-    use.
+    then the endpoint counts and bottom lengths of ``_cancels`` on the
+    touched lines.  The boxes and the area hold the edits even after None,
+    but the sides are then of no use.
     """
     boxes, area = placement.boxes, placement.area
     for k, box in edits.items():
@@ -413,19 +424,7 @@ def _certify(
         else:
             del on_line[line_id]
     placement.touched.clear()
-    return touched if _cancels(placement, touched) else None
-
-
-def _is_cycle(placement: _Placement, line_id: _LineId) -> bool:
-    """Whether a line that cancels is an axis cycle: its disjoint bottom (left)
-    sides sum to its period.  Raises RuntimeError if it has none, as it cannot."""
-    covered = 0
-    for (_, side), (_, n) in placement.on_line[line_id].items():
-        if not side % 2:
-            covered += n
-    if not covered:
-        raise RuntimeError(f"line {line_id} has sides but no bottom side")
-    return covered == placement.forms[line_id[0]][1]
+    return _cancels(placement, touched)
 
 
 def _refuted(den: int, cleared: _Ints, boxes: list[_Ints]) -> list[Violation]:
@@ -436,14 +435,15 @@ def _refuted(den: int, cleared: _Ints, boxes: list[_Ints]) -> list[Violation]:
     return violations
 
 
-def _clear_valid(tiling: Tiling) -> tuple[int, _Placement]:
-    # The denominator of a tiling that must verify, and the placement of its
-    # boxes, keyed by index, and their sides.
+def _clear_valid(tiling: Tiling) -> tuple[int, _Placement, list[_LineId]]:
+    # The denominator of a tiling that must verify, the placement of its
+    # boxes, keyed by index, and their sides, and its axis cycle lines, sorted.
     den, cleared, boxes = _clear(tiling)
     placement = _Placement(cleared)
-    if _certify(placement, dict(enumerate(boxes))) is None:
+    cycles = _certify(placement, dict(enumerate(boxes)))
+    if cycles is None:
         raise InvalidTilingError(_violation_text(_refuted(den, cleared, boxes)))
-    return den, placement
+    return den, placement, cycles
 
 
 def build_skeleton(tiling: Tiling) -> Skeleton:
@@ -458,7 +458,7 @@ def build_skeleton(tiling: Tiling) -> Skeleton:
     the latest start at or before it, around the line, covers it: on a line
     that cancels the bottom sides are disjoint and cover all that is covered.
     """
-    den, placement = _clear_valid(tiling)
+    den, placement, _ = _clear_valid(tiling)
     cleared, edges = placement.cleared, []
     for (orientation, key), segments in placement.on_line.items():
         period = placement.form(orientation)[1]
@@ -606,9 +606,9 @@ def reduce_tiling_with_trace(
     The input and then each step are certified by the incremental
     endpoint-count certificate of the module docstring (``_certify``), and
     the reduction reads the certificate's placement of the sides without
-    cutting any line into arcs.  Each line a step touched is checked for a
-    cycle by the length of its bottom (left) sides (``_is_cycle``), and only
-    the chosen line is walked: the chosen path is the first chain of its
+    cutting any line into arcs.  The certificate reports the lines a step
+    touched that closed into cycles, in the one pass that counts them, and
+    only the chosen line is walked: the chosen path is the first chain of its
     bottom sides (``_chains``), on the least line of the first axis with two
     runs.  A side lies on it when its start is less than the path's length
     past the path's start, going around the line.  No rectangle pair is
@@ -622,20 +622,19 @@ def reduce_tiling_with_trace(
     """
     # Boxes are keyed by their index in the input, which they keep while the
     # indices of the boxes after an eliminated one drop.
-    den, placement = _clear_valid(tiling)
+    den, placement, cycles = _clear_valid(tiling)
     cleared, boxes = placement.cleared, placement.boxes
     length = sum(map(_half_perimeter, boxes.values()))
     steps: list[ReductionStep] = []
-    touched = sorted(placement.on_line)
     for _ in range(len(boxes) + 2):
         # Only a line a step touched can have closed into a cycle.
-        for line_id in touched:
-            if _is_cycle(placement, line_id):
-                after = f" after step {len(steps)}" if steps else ""
-                raise CycleExistsError(
-                    f"{line_id[0]}-cycle on line {Fraction(line_id[1], den)}"
-                    f"{after}: the path-merging reduction does not apply"
-                )
+        if cycles:
+            orientation, key = cycles[0]
+            after = f" after step {len(steps)}" if steps else ""
+            raise CycleExistsError(
+                f"{orientation}-cycle on line {Fraction(key, den)}"
+                f"{after}: the path-merging reduction does not apply"
+            )
 
         # Each placed line holds a run, so an axis holds two runs when it has
         # two lines or its least line has two chains.
@@ -698,8 +697,8 @@ def reduce_tiling_with_trace(
             (_half_perimeter(new) if new else 0) - _half_perimeter(boxes[k])
             for k, new in edits.items()
         )
-        touched = _certify(placement, edits)
-        if touched is None:
+        cycles = _certify(placement, edits)
+        if cycles is None:
             violations = _refuted(den, cleared, list(boxes.values()))
             raise ReductionStepInvalidError(
                 "rebuilt tiling is invalid: " + _violation_text(violations)

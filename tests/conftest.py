@@ -332,7 +332,7 @@ def recut_lines(placement: _Placement) -> tuple[dict, dict]:
 
 def recut_skeleton(tiling: Tiling) -> Skeleton:
     """``build_skeleton`` read off ``recut_lines``: an edge per covered arc."""
-    den, placement = _clear_valid(tiling)
+    den, placement, _ = _clear_valid(tiling)
     lines, _ = recut_lines(placement)
     corners, edges = set(), []
     for (orientation, key), line in lines.items():

@@ -15,8 +15,14 @@ from torus_rect_tiler import cli
 from torus_rect_tiler.cli import RENDER_MAX_POINTS, main
 from torus_rect_tiler.exact_math import Vec2
 from torus_rect_tiler.lattice import LatticeBasis
-from torus_rect_tiler.skeleton import ReductionStepInvalidError
-from torus_rect_tiler.tiling import build_optimal, tiling_to_json_dict
+from torus_rect_tiler.skeleton import ReductionStepInvalidError, verify_tiling
+from torus_rect_tiler.tiling import (
+    Axis,
+    build_one_rect,
+    build_optimal,
+    tiling_from_json_dict,
+    tiling_to_json_dict,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 SKEWED_23 = "3 5 -4 1"
@@ -105,11 +111,27 @@ def test_build_forced_one_rect(capsys):
     assert doc["rects"] == [["0", "14", "0", "1"]]
 
 
+def test_build_forced_one_rect_y(capsys):
+    code, doc, _ = run_json(capsys, "build", "-b", SKEWED_14, "--force", "one-rect-y")
+    assert code == 0
+    basis = LatticeBasis(Vec2(2, 1), Vec2(-4, 5))
+    assert doc == tiling_to_json_dict(build_one_rect(basis, Axis.Y))
+    assert verify_tiling(tiling_from_json_dict(doc)).valid
+
+
 def test_build_forced_two_rect_inapplicable(capsys):
     code, out, err = run(capsys, "build", "-b", UNIT, "--force", "two-rect")
     assert code == 1
     assert err == (
         "error: basis does not split into a same-sign and an opposite-sign vector\n"
+    )
+
+
+def test_build_forced_two_rect_refuses_a_same_sign_vector_on_an_axis(capsys):
+    code, out, err = run(capsys, "build", "-b", "1 0 -1 1", "--force", "two-rect")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: (1, 0) lies on an axis; the two-rectangle construction does not apply\n"
     )
 
 
@@ -176,6 +198,13 @@ def test_minlen_rejects_digits_outside_ascii(capsys):
     # Arabic-Indic three and one: Python's int() would read them.
     code, out, err = run(capsys, "minlen", "-b", "\u0663 0 0 \u0661")
     assert code == 1 and "not a rational literal" in err and out == ""
+
+
+def test_minlen_rejects_whitespace_outside_ascii(capsys):
+    # An ideographic space between the last two rationals joins them.
+    code, out, err = run(capsys, "minlen", "-b", "3 5 4\u30001")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_verify_rejects_a_file_that_is_not_utf8(capsys, tmp_path):
@@ -562,6 +591,20 @@ def run_cli_process(*argv):
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         timeout=2,
     )
+
+
+def test_the_module_exits_with_the_status_main_returns(capsys, tmp_path):
+    minlen = ("minlen", "-b", SKEWED_23)
+    done = run_cli_process(*minlen)
+    assert (done.returncode, done.stdout.decode()) == run(capsys, *minlen)[:2]
+    done = run_cli_process("minlen", "-b", "1 2")
+    assert (done.returncode, done.stdout) == (1, b"")
+    assert done.stderr.startswith(b"error: ") and done.stderr.count(b"\n") == 1
+    path = write_tiling(tmp_path, capsys, SKEWED_23)
+    doc = json.loads(path.read_text())
+    doc["rects"][0][1] = "-2"  # the first rectangle, shrunk
+    path.write_text(json.dumps(doc))
+    assert run_cli_process("verify", "-t", str(path)).returncode == 2
 
 
 @pytest.mark.xfail(strict=True, raises=subprocess.TimeoutExpired,

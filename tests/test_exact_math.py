@@ -17,9 +17,15 @@ def test_parse_rational_accepts_the_wire_grammar():
     assert parse_rational("  -9/3 ") == -3
 
 
-# Only ASCII digits: Arabic-Indic three and fullwidth 3/4 are refused.
+# Only ASCII digits: Arabic-Indic three and fullwidth 3/4 are refused.  Only
+# ASCII whitespace around them: the ideographic and no-break spaces and the
+# file separator are refused.
 @pytest.mark.parametrize(
-    "bad", ["", "3.5", "1e3", "1/0", "1/-2", "a", "1 / 2", "--3", "\u0663", "\uff13/\uff14"]
+    "bad",
+    [
+        "", "3.5", "1e3", "1/0", "1/-2", "a", "1 / 2", "--3", "\u0663", "\uff13/\uff14",
+        "3\u3000", "\u00a03", "3\x1c",
+    ],
 )
 def test_parse_rational_rejects_everything_else(bad):
     with pytest.raises(ValueError):

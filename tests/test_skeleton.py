@@ -770,7 +770,7 @@ def placed_area(placement) -> int:
 
 def test_step_check_agrees_with_full_verification():
     rng = random.Random(53)
-    valid = balanced_invalid = emptied = 0
+    valid = balanced_invalid = emptied = cycles = step_cycles = 0
     for trial in range(300):
         if trial % 2:
             basis = random_rational_basis(rng)
@@ -789,8 +789,12 @@ def test_step_check_agrees_with_full_verification():
             assert (whole is not None) == (not full), (edits, full)
             assert whole_placement.boxes == dict(enumerate(edited))
             assert whole_placement.area == placed_area(whole_placement)
-            # A whole tiling touches every line it places.
-            assert whole is None or whole == sorted(whole_placement.on_line)
+            # A whole tiling touches every line it places, and returns those
+            # the recut lines close into a cycle.
+            assert whole is None or whole == recut_cycles(
+                whole_placement, whole_placement.on_line
+            )
+            cycles += bool(whole)
             # A certificate refused on area builds no Hermite form.
             ux, uy, vx, vy = cleared
             on_area = whole_placement.area == abs(ux * vy - uy * vx)
@@ -806,7 +810,8 @@ def test_step_check_agrees_with_full_verification():
             assert placement.area == placed_area(placement)
             # No line is left without a side: a line whose last side an edit
             # removed is no longer placed.  The step returns exactly the
-            # lines whose sides changed and that still hold one.
+            # lines whose sides changed, that still hold one and that the
+            # recut lines close into a cycle.
             after = placement.on_line
             assert all(after.values())
             changed = {
@@ -815,12 +820,16 @@ def test_step_check_agrees_with_full_verification():
                 if before.get(line) != after.get(line)
             }
             emptied += bool(changed - after.keys())
-            assert step is None or step == sorted(changed & after.keys())
+            assert step is None or step == recut_cycles(
+                placement, changed & after.keys()
+            )
+            step_cycles += bool(step)
             valid += not full
             balanced_invalid += bool(full) and all(
                 v.kind is not ViolationKind.COVERAGE for v in full
             )
     assert valid > 150 and balanced_invalid > 150 and emptied > 100
+    assert cycles > 100 and step_cycles > 50
 
 
 # The seeds in use find one on the first draw at 16 and 32 rectangles and on
@@ -896,12 +905,13 @@ def test_endpoint_chain_runs_match_the_recut_lines(monkeypatch, kind):
     def checking(placement, edits):
         # The input's certificate and each step's.
         nonlocal certified
-        touched = certify(placement, edits)
-        if touched is not None:
+        cycle_lines = certify(placement, edits)
+        if cycle_lines is not None:
             for line_id, runs in recut_runs(placement).items():
                 # A cycle by bottom length exactly where the oracle finds one.
-                cycle = skeleton._is_cycle(placement, line_id)
+                cycle = skeleton._cancels(placement, [line_id]) == [line_id]
                 assert cycle == (runs == [])
+                assert cycle or line_id not in cycle_lines
                 # Each chain of bottom sides is a run, from its head to the end
                 # of its last side; a cycle is one chain, from the least
                 # start, that closes the line.
@@ -913,7 +923,7 @@ def test_endpoint_chain_runs_match_the_recut_lines(monkeypatch, kind):
                 ]
                 assert chains == ([(min(bottoms), 0)] if cycle else runs)
             certified += 1
-        return touched
+        return cycle_lines
 
     monkeypatch.setattr(skeleton, "_certify", checking)
     reduced = cycles = steps = 0
@@ -932,12 +942,17 @@ def test_endpoint_chain_runs_match_the_recut_lines(monkeypatch, kind):
         steps += len(trace)
     assert certified >= reduced + cycles + steps
     assert reduced > 20 and cycles > 15 and steps > 60
-    # A top side alone cannot cancel; checking its line for a cycle is refused.
+    # A top side alone cannot cancel.
     placement = _Placement((1, 0, 0, 1))
     placement.form("h")
     placement.put((0, 1), "h", 0, 0, 1)
-    with pytest.raises(RuntimeError, match="no bottom side"):
-        skeleton._is_cycle(placement, ("h", 0))
+    assert skeleton._cancels(placement, [("h", 0)]) is None
+
+
+def recut_cycles(placement: _Placement, line_ids) -> list:
+    """The lines among line_ids that ``recut_runs`` closes into a cycle, sorted."""
+    runs = recut_runs(placement)
+    return sorted(line_id for line_id in line_ids if runs[line_id] == [])
 
 
 def recut_target(placement: _Placement):
@@ -962,10 +977,10 @@ def test_reduction_targets_the_run_the_recut_lines_choose(monkeypatch, kind):
 
     def recording(placement, edits):
         # The target after the input's certificate and after each step's.
-        touched = certify(placement, edits)
-        if touched is not None:
+        cycle_lines = certify(placement, edits)
+        if cycle_lines is not None:
             targets.append(recut_target(placement))
-        return touched
+        return cycle_lines
 
     monkeypatch.setattr(skeleton, "_certify", recording)
     if kind == "cycle-free":

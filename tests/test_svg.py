@@ -107,6 +107,12 @@ def test_a_tie_at_the_fourth_decimal_rounds_away_from_zero():
     assert 'width="0.313"' in svg
 
 
+@pytest.mark.parametrize("width", [0, -1])
+def test_render_refuses_a_width_that_is_not_positive(width):
+    with pytest.raises(ValueError, match="width must be a positive pixel count"):
+        render_tiling_svg(INT_TWO_RECT, width)
+
+
 def test_round3_matches_the_fraction_oracle():
     rng = random.Random(11)
     ties = [Fraction(k, 2000) for k in range(-4001, 4002, 2)]
