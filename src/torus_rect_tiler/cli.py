@@ -107,12 +107,13 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_basis(text: str) -> LatticeBasis:
     # Only ASCII whitespace separates the rationals, as in parse_rational.
-    parts = re.findall(r"\S+", text, re.ASCII)
-    if len(parts) != 4:
+    # Each token is read before they are counted, so a refused one is named.
+    values = [parse_rational(p) for p in re.findall(r"\S+", text, re.ASCII)]
+    if len(values) != 4:
         raise ValueError(
-            f"basis needs four rationals 'ux uy vx vy', got {len(parts)} items"
+            f"basis needs four rationals 'ux uy vx vy', got {len(values)} items"
         )
-    ux, uy, vx, vy = (parse_rational(p) for p in parts)
+    ux, uy, vx, vy = values
     return LatticeBasis(Vec2(ux, uy), Vec2(vx, vy))
 
 

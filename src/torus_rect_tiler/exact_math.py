@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 # ASCII digits, and only the six ASCII whitespace characters around them.
-_RATIONAL_RE = re.compile(r"\s*([+-]?\d+(?:/\d+)?)\s*", re.ASCII)
+_RATIONAL_RE = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?\s*", re.ASCII)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -28,8 +28,9 @@ def parse_rational(text: str) -> Fraction:
     match = _RATIONAL_RE.fullmatch(text) if isinstance(text, str) else None
     if not match:
         raise ValueError(f"not a rational literal: {text!r}")
+    num, den = match.groups()
     try:
-        return Fraction(match[1])
+        return Fraction(int(num), int(den or 1))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator: {text!r}") from None
 
@@ -90,5 +91,6 @@ def clear_denominators(*values) -> tuple[int, tuple[int, ...]]:
     Returns (den, ints) with den > 0 the least integer such that every
     values[i] * den is an integer, and ints[i] = values[i] * den.
     """
-    den = math.lcm(*(x.denominator for x in values))
-    return den, tuple(x.numerator * (den // x.denominator) for x in values)
+    ratios = [x.as_integer_ratio() for x in values]
+    den = math.lcm(*(d for _, d in ratios))
+    return den, tuple(n * (den // d) for n, d in ratios)

@@ -49,11 +49,16 @@ the top (right) sides cover.  So the line is an axis cycle exactly when their
 lengths sum to its period (``_cancels``), the chains of its bottom sides
 (``_chains``) are its maximal runs, and an arc between two cuts is covered
 exactly when a bottom side covers it (``build_skeleton``).
+
+``build_skeleton`` keeps the edges it cut, line by line, on the ``Skeleton``
+it returns (``Skeleton._lines``, no part of its value), and
+``decompose_axis_paths`` chains them from there.  A skeleton made any other
+way has its edges cleared and placed again (``_edge_lines``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Collection, Iterable
@@ -221,11 +226,22 @@ class SkeletonEdge:
     length: Fraction
 
 
+# A line's edges as decompose_axis_paths chains them: (orientation, period,
+# {start: length}, {start: edge}, whether the edges close the line), with
+# starts and lengths integers over the cleared basis's denominator.
+_EdgeLine = tuple[str, int, dict[int, int], dict[int, SkeletonEdge], bool]
+
+
 @dataclass(frozen=True)
 class Skeleton:
     basis: LatticeBasis
     vertices: tuple[TorusPoint, ...]
     edges: tuple[SkeletonEdge, ...]
+    # Set by build_skeleton only.  init=False, so dataclasses.replace leaves
+    # it None and the copy's edges are placed afresh.
+    _lines: tuple[_EdgeLine, ...] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     @property
     def total_length(self) -> Fraction:
@@ -457,34 +473,42 @@ def build_skeleton(tiling: Tiling) -> Skeleton:
     them).  The arc from a cut is an edge when the bottom (left) side with
     the latest start at or before it, around the line, covers it: on a line
     that cancels the bottom sides are disjoint and cover all that is covered.
+    The skeleton keeps each line's edges for ``decompose_axis_paths``.
     """
-    den, placement, _ = _clear_valid(tiling)
-    cleared, edges = placement.cleared, []
-    for (orientation, key), segments in placement.on_line.items():
+    den, placement, cycles = _clear_valid(tiling)
+    cleared, cycles, edges, lines = placement.cleared, set(cycles), [], []
+    for line_id, segments in sorted(placement.on_line.items()):
+        orientation, key = line_id
         period = placement.form(orientation)[1]
         bottoms = _bottoms(segments)
         last = max(bottoms)  # the latest bottom start before the first cut
+        lengths: dict[int, int] = {}
         for cut, arc in _cuts(segments.values(), period).items():
             if cut in bottoms:
                 last = cut
             if (cut - last) % period < bottoms[last]:
                 x, y = (cut, key) if orientation == "h" else (key, cut)
-                edges.append((orientation, _canonical(cleared, x, y), arc))
+                w = _canonical(cleared, x, y)
+                edges.append((orientation, w, arc, len(lines), cut))
+                lengths[cut] = arc
+        lines.append((orientation, period, lengths, {}, line_id in cycles))
+    # A torus point lies on one line of each axis, at one cut of it, so no two
+    # edges share an orientation and origin: those alone order the edges.
     edges.sort()
     # Every corner image starts an edge: the rectangle just above and right of
     # a corner has it on its bottom or left side, short of the side's end.  So
     # the vertices are the edge origins.  One Fraction per distinct integer.
     fraction = {c: Fraction(c, den) for c in {c for e in edges for c in (*e[1], e[2])}}
-    origins = sorted({w for _, w, _ in edges})
+    origins = sorted({e[1] for e in edges})
     vertices = {w: TorusPoint(Vec2(fraction[w[0]], fraction[w[1]])) for w in origins}
-    return Skeleton(
-        tiling.basis,
-        tuple(vertices.values()),
-        tuple(
-            SkeletonEdge(vertices[w], _ORIENTATIONS[axis], fraction[n])
-            for axis, w, n in edges
-        ),
-    )
+    made = []
+    for axis, w, n, line, cut in edges:
+        edge = SkeletonEdge(vertices[w], _ORIENTATIONS[axis], fraction[n])
+        lines[line][3][cut] = edge
+        made.append(edge)
+    skeleton = Skeleton(tiling.basis, tuple(vertices.values()), tuple(made))
+    object.__setattr__(skeleton, "_lines", tuple(lines))
+    return skeleton
 
 
 @dataclass(frozen=True)
@@ -497,15 +521,13 @@ class AxisPathDecomposition:
     paths_v: tuple[tuple[SkeletonEdge, ...], ...]
 
 
-def decompose_axis_paths(skeleton: Skeleton) -> AxisPathDecomposition:
-    """Place each edge on its torus line and chain the edges end to start.
-
-    Each line is cut at its edges' endpoints (``_cuts``, one sort of them).
-    Raises ValueError at the first edge longer than its line, and then at the
-    first edge, in input order, that is not one arc of its line: its length
-    is not the arc's from its start, or an earlier edge took that start.  The
-    ``_chains`` of a line whose arcs all hold an edge are one cycle, of the
-    axis period; those of every other line are maximal paths.
+def _edge_lines(skeleton: Skeleton) -> list[_EdgeLine]:
+    """The lines of a skeleton's edges, sorted, each cut at its edges'
+    endpoints (``_cuts``, one sort of them).  Raises ValueError at the first
+    edge longer than its line, and then at the first edge, in input order,
+    that is not one arc of its line: its length is not the arc's from its
+    start, or an earlier edge took that start.  A line closes when each of
+    its arcs holds an edge.
     """
     edges = skeleton.edges
     _, ints = clear_denominators(
@@ -519,11 +541,9 @@ def decompose_axis_paths(skeleton: Skeleton) -> AxisPathDecomposition:
         if length > placement.form(orientation)[1]:
             raise ValueError(f"skeleton edge {edge} is not one arc of its line")
         placement.put(k, orientation, x, y, length)
-    cycles = {"h": [], "v": []}
-    paths = {"h": [], "v": []}
     # A line holds its edges in input order, so the least of the first edges
     # refused on each line is the first refused in input order.
-    refused = []
+    lines, refused = [], []
     for (orientation, _), segments in sorted(placement.on_line.items()):
         period = placement.form(orientation)[1]
         arcs = _cuts(segments.values(), period)
@@ -534,12 +554,32 @@ def decompose_axis_paths(skeleton: Skeleton) -> AxisPathDecomposition:
                 break
             at[start], lengths[start] = edges[k], n
         else:
-            found = cycles if len(at) == len(arcs) else paths
-            for chain in _chains(lengths, period):
-                found[orientation].append(tuple(map(at.__getitem__, chain)))
+            lines.append((orientation, period, lengths, at, len(at) == len(arcs)))
     if refused:
         edge = edges[min(refused)]
         raise ValueError(f"skeleton edge {edge} is not one arc of its line")
+    return lines
+
+
+def decompose_axis_paths(skeleton: Skeleton) -> AxisPathDecomposition:
+    """Chain the edges of each torus line end to start (``_chains``).
+
+    The lines are the ones ``build_skeleton`` cut, kept on the skeleton it
+    returned; a skeleton built any other way, a ``dataclasses.replace`` copy
+    included, has its edges placed on their lines again (``_edge_lines``),
+    which raises ValueError at the first edge that is not one arc of its
+    line.  The chains of a line whose arcs all hold an edge are one cycle, of
+    the axis period; those of every other line are maximal paths.
+    """
+    lines = skeleton._lines
+    if lines is None:
+        lines = _edge_lines(skeleton)
+    cycles = {"h": [], "v": []}
+    paths = {"h": [], "v": []}
+    for orientation, period, lengths, at, closed in lines:
+        found = cycles if closed else paths
+        for chain in _chains(lengths, period):
+            found[orientation].append(tuple(map(at.__getitem__, chain)))
     return AxisPathDecomposition(
         cycles_h=tuple(cycles["h"]),
         paths_h=tuple(paths["h"]),

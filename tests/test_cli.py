@@ -203,8 +203,16 @@ def test_minlen_rejects_digits_outside_ascii(capsys):
 def test_minlen_rejects_whitespace_outside_ascii(capsys):
     # An ideographic space between the last two rationals joins them.
     code, out, err = run(capsys, "minlen", "-b", "3 5 4\u30001")
-    assert (code, out) == (1, "")
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert (code, out, err) == (1, "", "error: not a rational literal: '4\\u30001'\n")
+
+
+def test_minlen_counts_the_basis_rationals_only_when_each_reads(capsys):
+    for basis, count in (("3 5 4", 3), ("1 2 3 4 5", 5), ("", 0)):
+        code, out, err = run(capsys, "minlen", "-b", basis)
+        want = f"error: basis needs four rationals 'ux uy vx vy', got {count} items\n"
+        assert (code, out, err) == (1, "", want)
+    code, out, err = run(capsys, "minlen", "-b", "1 2 3 x 5")
+    assert (code, out, err) == (1, "", "error: not a rational literal: 'x'\n")
 
 
 def test_verify_rejects_a_file_that_is_not_utf8(capsys, tmp_path):

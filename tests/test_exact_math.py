@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torus_rect_tiler import Vec2, l1_norm, parse_rational, sign_key
 from torus_rect_tiler.exact_math import clear_denominators
@@ -30,6 +32,34 @@ def test_parse_rational_accepts_the_wire_grammar():
 def test_parse_rational_rejects_everything_else(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
+
+
+ASCII_SPACE = " \t\n\r\x0b\x0c"
+DIGITS = st.text("0123456789", min_size=1, max_size=40)
+
+
+@settings(database=None, derandomize=True, max_examples=300)
+@given(
+    st.text(ASCII_SPACE, max_size=2),
+    st.sampled_from(["", "+", "-"]),
+    DIGITS,
+    st.none() | DIGITS,
+    st.text(ASCII_SPACE, max_size=2),
+)
+def test_parse_rational_reads_literals_as_fraction_does(lead, sign, num, den, trail):
+    text = f"{lead}{sign}{num}{'' if den is None else '/' + den}{trail}"
+    if den is not None and int(den) == 0:
+        with pytest.raises(ValueError, match="^zero denominator: "):
+            parse_rational(text)
+    else:
+        assert parse_rational(text) == Fraction(text)
+
+
+def test_parse_rational_keeps_the_int_digit_limit_message():
+    # The CLI recognises this message (cli._past_digit_limit).
+    for text in ("1" * 5000, "1/" + "3" * 5000, "-7/" + "0" * 5000):
+        with pytest.raises(ValueError, match="integer string conversion"):
+            parse_rational(text)
 
 
 def test_parse_format_round_trip():

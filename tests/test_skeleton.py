@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import time
@@ -488,7 +489,7 @@ def mutated_skeletons(rng: random.Random, sk: Skeleton):
     edges = list(sk.edges)
 
     def with_edges(new_edges):
-        return Skeleton(sk.basis, sk.vertices, tuple(new_edges))
+        return dataclasses.replace(sk, edges=tuple(new_edges))
 
     for scale in (2, Fraction(1, 2), 0, -1):
         i = rng.randrange(len(edges))
@@ -536,6 +537,60 @@ def test_refused_skeletons_name_the_edge_the_recut_lines_name(kind):
             else:
                 accepted += 1
     assert refused > 100 and accepted > 50 and with_cycles > 15
+
+
+@pytest.mark.parametrize("kind", ["integer", "rational"])
+def test_kept_lines_decompose_as_the_edges_placed_afresh(kind):
+    # build_skeleton keeps its lines on the skeleton; a hand-built copy has
+    # none, so its edges are cleared and placed again.  Both read the same,
+    # and the kept lines take no part in ==, hash or repr.
+    rng = random.Random(60 if kind == "integer" else 61)
+    with_cycles = cycle_free = 0
+    for trial in range(40):
+        if kind == "integer":
+            basis = random_int_basis(rng, bound=12)
+        else:
+            basis = random_rational_basis(rng)
+        optimal = build_optimal(basis)
+        base = build_one_rect(basis, Axis.Y) if trial % 2 else optimal
+        for t in (optimal, random_split_tiling(rng, base, max_splits=5)):
+            sk = build_skeleton(t)
+            bare = Skeleton(sk.basis, sk.vertices, sk.edges)
+            assert sk._lines is not None and bare._lines is None
+            assert sk == bare and hash(sk) == hash(bare) and repr(sk) == repr(bare)
+            dec = decompose_axis_paths(sk)
+            assert dec == decompose_axis_paths(bare)
+            if dec.cycles_h or dec.cycles_v:
+                with_cycles += 1
+            else:
+                cycle_free += 1
+    assert with_cycles > 20 and cycle_free > 20
+
+
+def test_decomposing_a_built_skeleton_clears_nothing(monkeypatch):
+    calls = 0
+    clear = skeleton.clear_denominators
+
+    def counting(*values):
+        nonlocal calls
+        calls += 1
+        return clear(*values)
+
+    monkeypatch.setattr(skeleton, "clear_denominators", counting)
+    t = cycle_free_split_tiling(16, 16)
+    sk = build_skeleton(t)
+    calls = 0
+    dec = decompose_axis_paths(sk)
+    assert calls == 0 and len(dec.paths_h) + len(dec.paths_v) > 2
+    assert decompose_axis_paths(dataclasses.replace(sk)) == dec and calls == 1
+    # Verify, skeleton, decomposition, reduction, verify of the result: each
+    # clears the tiling it is given once, except the decomposition.
+    calls = 0
+    assert verify_tiling(t).valid
+    decompose_axis_paths(build_skeleton(t))
+    reduced, _ = reduce_tiling_with_trace(t)
+    assert verify_tiling(reduced).valid
+    assert calls == 4
 
 
 def test_every_edge_lands_in_exactly_one_group():

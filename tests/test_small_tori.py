@@ -19,9 +19,11 @@ from torus_rect_tiler import (
     CycleExistsError,
     LatticeBasis,
     Rect,
+    Skeleton,
     Tiling,
     Vec2,
     build_skeleton,
+    decompose_axis_paths,
     min_length,
     reduce_tiling_with_trace,
     tiling_length,
@@ -164,6 +166,8 @@ def test_no_cover_of_a_small_torus_is_shorter_than_min_length():
                 sk = build_skeleton(t)
                 assert sk.total_length == tiling_length(t) == length
                 assert_matches_brute_decomposition(sk)
+                bare = Skeleton(sk.basis, sk.vertices, sk.edges)
+                assert decompose_axis_paths(bare) == decompose_axis_paths(sk)
                 covers += 1
                 try:
                     shorter, _ = reduce_tiling_with_trace(t)
