@@ -16,7 +16,8 @@ placement (``_Placement``) holds axis segments (rectangle sides or skeleton
 edges) by torus line, each as its start and length along the line: the one
 model of a line.  The certificate counts segment endpoints; the other
 readers link segments end to start (``_chains``) or cut a line into arcs at
-the sorted endpoints (``_cuts``).
+the sorted endpoints (``_cuts``).  The certificate's placement also holds
+the certified boxes, their area and their length.
 
 Validity is certified by a degree argument (``_certify``).  Let f count the
 rectangles over each torus point.  Crossing a horizontal line upward, f
@@ -51,14 +52,15 @@ lengths sum to its period (``_cancels``), the chains of its bottom sides
 exactly when a bottom side covers it (``build_skeleton``).
 
 ``build_skeleton`` keeps the edges it cut, line by line, on the ``Skeleton``
-it returns (``Skeleton._lines``, no part of its value), and
-``decompose_axis_paths`` chains them from there.  A skeleton made any other
-way has its edges cleared and placed again (``_edge_lines``).
+it returns (``Skeleton._lines``, an instance attribute and no dataclass
+field, so no part of its value), and ``decompose_axis_paths`` chains them
+from there.  A skeleton made any other way has its edges cleared and placed
+again (``_edge_lines``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Collection, Iterable
@@ -237,11 +239,10 @@ class Skeleton:
     basis: LatticeBasis
     vertices: tuple[TorusPoint, ...]
     edges: tuple[SkeletonEdge, ...]
-    # Set by build_skeleton only.  init=False, so dataclasses.replace leaves
-    # it None and the copy's edges are placed afresh.
-    _lines: tuple[_EdgeLine, ...] | None = field(
-        default=None, init=False, compare=False, repr=False
-    )
+    # No field: build_skeleton sets its lines (_EdgeLine tuples) on the
+    # instance it returns, and a dataclasses.replace copy reads this None, so
+    # its edges are placed afresh.
+    _lines = None
 
     @property
     def total_length(self) -> Fraction:
@@ -256,7 +257,9 @@ _LineId = tuple[str, int]  # (orientation value, line key)
 
 
 class _Placement:
-    """Axis segments, each under its own key, held by torus line.
+    """Axis segments, each under its own key, held by torus line, and for
+    the certificate (``_certify``) the certified boxes, their area and their
+    length (the sum of their half-perimeters).
 
     A segment (orientation, x, y, length) runs from (x, y) in +x ("h") or
     +y ("v"); on its line it is (start, length), the start being its position
@@ -273,6 +276,7 @@ class _Placement:
         self.forms: dict[str, tuple[int, int, int]] = {}
         self.boxes: dict[int, _Ints] = {}  # the boxes whose sides _certify placed
         self.area = 0  # of those boxes
+        self.length = 0  # their half-perimeters summed
         self.on_line: dict[_LineId, dict] = {}  # line -> {key: (start, length)}
         self.line_of: dict = {}
         self.touched: set[_LineId] = set()
@@ -385,12 +389,12 @@ def _certify(
     placement: _Placement, edits: dict[int, _Ints | None]
 ) -> list[_LineId] | None:
     """Apply the edits (box id -> new box, or None to drop the box) to the
-    placement's boxes, its area and its sides, keyed (box id, side index) as
-    in ``_cancels``.  Returns the touched lines that are axis cycles, sorted
-    (often none: test the result with ``is None``), when the edited boxes
-    tile the torus, and None when they do not.  Lines left without sides are
-    dropped from the placement, and ``placement.touched`` is cleared; no line
-    is cut into arcs.
+    placement's boxes, their area, their length and their sides, keyed (box
+    id, side index) as in ``_cancels``.  Returns the touched lines that are
+    axis cycles, sorted (often none: test the result with ``is None``), when
+    the edited boxes tile the torus, and None when they do not.  Lines left
+    without sides are dropped from the placement, and ``placement.touched``
+    is cleared; no line is cut into arcs.
 
     Exact, by the degree argument of the module docstring, when the boxes
     placed before either tiled the torus or were none: so a whole tiling is
@@ -398,21 +402,23 @@ def _certify(
     The area test runs first, on the area kept from the edited boxes, and
     places no side and builds no Hermite form; then the side-length guard,
     then the endpoint counts and bottom lengths of ``_cancels`` on the
-    touched lines.  The boxes and the area hold the edits even after None,
-    but the sides are then of no use.
+    touched lines.  The boxes, their area and their length hold the edits
+    even after None, but the sides are then of no use.
     """
-    boxes, area = placement.boxes, placement.area
+    boxes, area, length = placement.boxes, placement.area, placement.length
     for k, box in edits.items():
         old = boxes.get(k)
         if old:
             x0, x1, y0, y1 = old
             area -= (x1 - x0) * (y1 - y0)
+            length -= x1 - x0 + y1 - y0
         if box:
             x0, x1, y0, y1 = boxes[k] = box
             area += (x1 - x0) * (y1 - y0)
+            length += x1 - x0 + y1 - y0
         else:
             del boxes[k]
-    placement.area = area
+    placement.area, placement.length = area, length
     ux, uy, vx, vy = placement.cleared
     if area != abs(ux * vy - uy * vx):
         return None
@@ -483,17 +489,19 @@ def build_skeleton(tiling: Tiling) -> Skeleton:
         bottoms = _bottoms(segments)
         last = max(bottoms)  # the latest bottom start before the first cut
         lengths: dict[int, int] = {}
+        at: dict[int, SkeletonEdge] = {}  # filled once the edges are made
         for cut, arc in _cuts(segments.values(), period).items():
             if cut in bottoms:
                 last = cut
             if (cut - last) % period < bottoms[last]:
                 x, y = (cut, key) if orientation == "h" else (key, cut)
                 w = _canonical(cleared, x, y)
-                edges.append((orientation, w, arc, len(lines), cut))
+                edges.append((orientation, w, arc, at, cut))
                 lengths[cut] = arc
-        lines.append((orientation, period, lengths, {}, line_id in cycles))
+        lines.append((orientation, period, lengths, at, line_id in cycles))
     # A torus point lies on one line of each axis, at one cut of it, so no two
-    # edges share an orientation and origin: those alone order the edges.
+    # edges share an orientation and origin: those alone order the edges, and
+    # the sort never compares their lines' dicts.
     edges.sort()
     # Every corner image starts an edge: the rectangle just above and right of
     # a corner has it on its bottom or left side, short of the side's end.  So
@@ -502,9 +510,8 @@ def build_skeleton(tiling: Tiling) -> Skeleton:
     origins = sorted({e[1] for e in edges})
     vertices = {w: TorusPoint(Vec2(fraction[w[0]], fraction[w[1]])) for w in origins}
     made = []
-    for axis, w, n, line, cut in edges:
-        edge = SkeletonEdge(vertices[w], _ORIENTATIONS[axis], fraction[n])
-        lines[line][3][cut] = edge
+    for axis, w, n, at, cut in edges:
+        at[cut] = edge = SkeletonEdge(vertices[w], _ORIENTATIONS[axis], fraction[n])
         made.append(edge)
     skeleton = Skeleton(tiling.basis, tuple(vertices.values()), tuple(made))
     object.__setattr__(skeleton, "_lines", tuple(lines))
@@ -627,11 +634,6 @@ class ReductionStep:
         }
 
 
-def _half_perimeter(box: _Ints) -> int:
-    x0, x1, y0, y1 = box
-    return x1 - x0 + y1 - y0
-
-
 def reduce_tiling_with_trace(
     tiling: Tiling,
 ) -> tuple[Tiling, tuple[ReductionStep, ...]]:
@@ -664,7 +666,6 @@ def reduce_tiling_with_trace(
     # indices of the boxes after an eliminated one drop.
     den, placement, cycles = _clear_valid(tiling)
     cleared, boxes = placement.cleared, placement.boxes
-    length = sum(map(_half_perimeter, boxes.values()))
     steps: list[ReductionStep] = []
     for _ in range(len(boxes) + 2):
         # Only a line a step touched can have closed into a cycle.
@@ -730,20 +731,17 @@ def reduce_tiling_with_trace(
 
         if not eliminated:
             raise ReductionStepInvalidError("shift eliminated no rectangle")
-        # The step reports indices in its input tiling, and its length change
-        # reads the boxes before _certify edits them.
+        # The step reports indices in its input tiling, read before _certify
+        # drops the eliminated boxes.
         rank = {box_id: i for i, box_id in enumerate(boxes)}
-        new_length = length + sum(
-            (_half_perimeter(new) if new else 0) - _half_perimeter(boxes[k])
-            for k, new in edits.items()
-        )
+        length_before = placement.length
         cycles = _certify(placement, edits)
         if cycles is None:
             violations = _refuted(den, cleared, list(boxes.values()))
             raise ReductionStepInvalidError(
                 "rebuilt tiling is invalid: " + _violation_text(violations)
             )
-        if not new_length < length:
+        if not placement.length < length_before:
             raise ReductionStepInvalidError("reduction step did not shorten the tiling")
         steps.append(
             ReductionStep(
@@ -756,11 +754,10 @@ def reduce_tiling_with_trace(
                 s3=tuple(rank[k] for k in s3),
                 shrink=Fraction(shrink, den),
                 eliminated=tuple(rank[k] for k in eliminated),
-                length_before=Fraction(length, den),
-                length_after=Fraction(new_length, den),
+                length_before=Fraction(length_before, den),
+                length_after=Fraction(placement.length, den),
             )
         )
-        length = new_length
     else:
         raise ReductionStepInvalidError("reduction did not terminate")
     violations = _violations(den, cleared, list(boxes.values()))

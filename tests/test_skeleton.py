@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 import random
 import time
 import tracemalloc
@@ -543,7 +545,14 @@ def test_refused_skeletons_name_the_edge_the_recut_lines_name(kind):
 def test_kept_lines_decompose_as_the_edges_placed_afresh(kind):
     # build_skeleton keeps its lines on the skeleton; a hand-built copy has
     # none, so its edges are cleared and placed again.  Both read the same,
-    # and the kept lines take no part in ==, hash or repr.
+    # and the kept lines are no dataclass field, so they take no part in ==,
+    # hash, repr, asdict or astuple.  A deep copy or a pickle round trip
+    # decomposes as the original does.
+    assert [f.name for f in dataclasses.fields(Skeleton)] == [
+        "basis",
+        "vertices",
+        "edges",
+    ]
     rng = random.Random(60 if kind == "integer" else 61)
     with_cycles = cycle_free = 0
     for trial in range(40):
@@ -558,8 +567,12 @@ def test_kept_lines_decompose_as_the_edges_placed_afresh(kind):
             bare = Skeleton(sk.basis, sk.vertices, sk.edges)
             assert sk._lines is not None and bare._lines is None
             assert sk == bare and hash(sk) == hash(bare) and repr(sk) == repr(bare)
+            assert dataclasses.asdict(sk) == dataclasses.asdict(bare)
+            assert dataclasses.astuple(sk) == dataclasses.astuple(bare)
             dec = decompose_axis_paths(sk)
             assert dec == decompose_axis_paths(bare)
+            assert decompose_axis_paths(copy.deepcopy(sk)) == dec
+            assert decompose_axis_paths(pickle.loads(pickle.dumps(sk))) == dec
             if dec.cycles_h or dec.cycles_v:
                 with_cycles += 1
             else:
@@ -823,6 +836,11 @@ def placed_area(placement) -> int:
     return sum((x1 - x0) * (y1 - y0) for x0, x1, y0, y1 in placement.boxes.values())
 
 
+def placed_length(placement) -> int:
+    """The half-perimeters of the boxes a placement holds, summed afresh."""
+    return sum(x1 - x0 + y1 - y0 for x0, x1, y0, y1 in placement.boxes.values())
+
+
 def test_step_check_agrees_with_full_verification():
     rng = random.Random(53)
     valid = balanced_invalid = emptied = cycles = step_cycles = 0
@@ -844,6 +862,7 @@ def test_step_check_agrees_with_full_verification():
             assert (whole is not None) == (not full), (edits, full)
             assert whole_placement.boxes == dict(enumerate(edited))
             assert whole_placement.area == placed_area(whole_placement)
+            assert whole_placement.length == placed_length(whole_placement)
             # A whole tiling touches every line it places, and returns those
             # the recut lines close into a cycle.
             assert whole is None or whole == recut_cycles(
@@ -858,11 +877,14 @@ def test_step_check_agrees_with_full_verification():
             placement = _Placement(cleared)
             assert _certify(placement, dict(enumerate(boxes))) is not None
             assert placement.area == placed_area(placement)
+            assert placement.length == placed_length(placement)
             before = {line: dict(sides) for line, sides in placement.on_line.items()}
             step = _certify(placement, edits)
             assert (step is not None) == (not full), (edits, full)
-            # The kept area follows the edits, also when they are refused.
+            # The kept area and length follow the edits, also when they are
+            # refused.
             assert placement.area == placed_area(placement)
+            assert placement.length == placed_length(placement)
             # No line is left without a side: a line whose last side an edit
             # removed is no longer placed.  The step returns exactly the
             # lines whose sides changed, that still hold one and that the
