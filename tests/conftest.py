@@ -22,6 +22,7 @@ from torus_rect_tiler import (
     tiling_length,
     verify_tiling,
 )
+from torus_rect_tiler.certificate import _Placement
 from torus_rect_tiler.exact_math import clear_denominators
 from torus_rect_tiler.lattice import _inverse_l1_norm
 from torus_rect_tiler.skeleton import (
@@ -30,8 +31,6 @@ from torus_rect_tiler.skeleton import (
     SkeletonEdge,
     _canonical,
     _clear_valid,
-    _Placement,
-    _point,
 )
 
 
@@ -344,7 +343,10 @@ def recut_skeleton(tiling: Tiling) -> Skeleton:
             if line.covered[i]:
                 edges.append((orientation, w, line.arc_length(i)))
     edges.sort()
-    vertices = {w: _point(den, *w) for w in sorted(corners)}
+    vertices = {
+        w: TorusPoint(Vec2(Fraction(w[0], den), Fraction(w[1], den)))
+        for w in sorted(corners)
+    }
     return Skeleton(
         tiling.basis,
         tuple(vertices.values()),

@@ -38,15 +38,9 @@ from torus_rect_tiler import (
 )
 from torus_rect_tiler.exact_math import clear_denominators
 from torus_rect_tiler.lattice import axis_forms
-from torus_rect_tiler import skeleton
-from torus_rect_tiler.skeleton import (
-    InvalidTilingError,
-    Skeleton,
-    _Placement,
-    _certify,
-    _clear,
-    _violations,
-)
+from torus_rect_tiler import certificate, skeleton
+from torus_rect_tiler.certificate import _Placement, _certify, _clear
+from torus_rect_tiler.skeleton import InvalidTilingError, Skeleton, _violations
 from conftest import (
     assert_matches_brute_decomposition,
     brute_canonicalize,
@@ -200,14 +194,14 @@ def test_certificate_agrees_with_full_verification_on_edge_cases(monkeypatch):
         Tiling(UNIT, (Rect(0, n, 0, Fraction(1, n)),)),
     ]
     puts = 0
-    put = skeleton._Placement.put
+    put = certificate._Placement.put
 
     def counting(self, *args):
         nonlocal puts
         puts += 1
         return put(self, *args)
 
-    monkeypatch.setattr(skeleton._Placement, "put", counting)
+    monkeypatch.setattr(certificate._Placement, "put", counting)
     verdicts, edit_puts = [], []
     for t in cases:
         den, cleared, boxes = _clear(t)
@@ -279,14 +273,14 @@ def test_certificate_refuses_a_side_that_wraps_its_line_before_placing(monkeypat
     n = 20_000
     t = Tiling(UNIT, (Rect(0, n, 0, Fraction(1, n)),))
     puts = 0
-    put = skeleton._Placement.put
+    put = certificate._Placement.put
 
     def counting(self, *args):
         nonlocal puts
         puts += 1
         return put(self, *args)
 
-    monkeypatch.setattr(skeleton._Placement, "put", counting)
+    monkeypatch.setattr(certificate._Placement, "put", counting)
     tracemalloc.start()
     try:
         report = verify_tiling(t)
@@ -590,6 +584,7 @@ def test_decomposing_a_built_skeleton_clears_nothing(monkeypatch):
         return clear(*values)
 
     monkeypatch.setattr(skeleton, "clear_denominators", counting)
+    monkeypatch.setattr(certificate, "clear_denominators", counting)
     t = cycle_free_split_tiling(16, 16)
     sk = build_skeleton(t)
     calls = 0
@@ -986,17 +981,17 @@ def test_endpoint_chain_runs_match_the_recut_lines(monkeypatch, kind):
         if cycle_lines is not None:
             for line_id, runs in recut_runs(placement).items():
                 # A cycle by bottom length exactly where the oracle finds one.
-                cycle = skeleton._cancels(placement, [line_id]) == [line_id]
+                cycle = certificate._cancels(placement, [line_id]) == [line_id]
                 assert cycle == (runs == [])
                 assert cycle or line_id not in cycle_lines
                 # Each chain of bottom sides is a run, from its head to the end
                 # of its last side; a cycle is one chain, from the least
                 # start, that closes the line.
                 period = placement.form(line_id[0])[1]
-                bottoms = skeleton._bottoms(placement.on_line[line_id])
+                bottoms = certificate._bottoms(placement.on_line[line_id])
                 chains = [
                     (chain[0], (chain[-1] + bottoms[chain[-1]] - chain[0]) % period)
-                    for chain in skeleton._chains(bottoms, period)
+                    for chain in certificate._chains(bottoms, period)
                 ]
                 assert chains == ([(min(bottoms), 0)] if cycle else runs)
             certified += 1
@@ -1023,7 +1018,7 @@ def test_endpoint_chain_runs_match_the_recut_lines(monkeypatch, kind):
     placement = _Placement((1, 0, 0, 1))
     placement.form("h")
     placement.put((0, 1), "h", 0, 0, 1)
-    assert skeleton._cancels(placement, [("h", 0)]) is None
+    assert certificate._cancels(placement, [("h", 0)]) is None
 
 
 def recut_cycles(placement: _Placement, line_ids) -> list:
@@ -1111,7 +1106,7 @@ def test_reduction_targets_the_run_the_recut_lines_choose(monkeypatch, kind):
 
 def test_only_the_skeleton_cuts_lines_into_arcs(monkeypatch):
     calls = 0
-    cuts = skeleton._cuts
+    cuts = certificate._cuts
 
     def counting(*args):
         nonlocal calls
@@ -1119,6 +1114,7 @@ def test_only_the_skeleton_cuts_lines_into_arcs(monkeypatch):
         return cuts(*args)
 
     monkeypatch.setattr(skeleton, "_cuts", counting)
+    monkeypatch.setattr(certificate, "_cuts", counting)
     t = cycle_free_split_tiling(16, 16)
     assert verify_tiling(t).valid
     reduced, steps = reduce_tiling_with_trace(t)

@@ -145,6 +145,29 @@ def test_every_public_name_has_a_user():
     assert sorted(set(torus_rect_tiler.__all__) - used) == []
 
 
+def test_every_imported_name_is_read_where_it_is_imported():
+    # A name a module takes with "from ... import" must be read in that
+    # module, so no module re-exports another's names: each name is imported
+    # from its home.  __init__.py only re-exports, so it does not count.
+    found = []
+    for path, tree in _source_trees():
+        if path.name == "__init__.py":
+            continue
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        found += [
+            f"{path.relative_to(SRC)}:{node.lineno} {alias.asname or alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            for alias in node.names
+            if (alias.asname or alias.name) not in read
+        ]
+    assert found == []
+
+
 def test_every_private_helper_has_a_caller():
     # A module-level def, class or assignment whose name has one leading
     # underscore must be read somewhere in src/, as a name or an attribute;
