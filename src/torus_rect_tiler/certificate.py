@@ -49,6 +49,7 @@ exactly when a bottom side covers it (``skeleton.build_skeleton``).
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Collection, Iterable
 
 from .exact_math import clear_denominators
@@ -80,12 +81,12 @@ class _Placement:
     a few segments checks only those lines.  Lines are held by (orientation,
     line key), the line key being the offset across the line modulo the
     spacing; segment values, line keys, cuts and arc lengths are integers over
-    the denominator of the cleared basis.
+    the denominator of the cleared basis.  The Hermite forms are built on the
+    first read of ``forms``.
     """
 
     def __init__(self, cleared: _Ints):
         self.cleared = cleared
-        self.forms: dict[str, tuple[int, int, int]] = {}
         self.boxes: dict[int, _Ints] = {}  # the boxes whose sides _certify placed
         self.area = 0  # of those boxes
         self.length = 0  # their half-perimeters summed
@@ -93,13 +94,11 @@ class _Placement:
         self.line_of: dict = {}
         self.touched: set[_LineId] = set()
 
-    def form(self, orientation: str) -> tuple[int, int, int]:
-        """The Hermite form (spacing, period, shear) of a line family.  The
-        forms are built on first use, before any ``put``; per-side code then
-        reads ``forms``."""
-        if not self.forms:
-            self.forms.update(zip("hv", axis_forms(*self.cleared)))
-        return self.forms[orientation]
+    @cached_property
+    def forms(self) -> dict[str, tuple[int, int, int]]:
+        """The Hermite form (spacing, period, shear) of each line family, by
+        orientation."""
+        return dict(zip("hv", axis_forms(*self.cleared)))
 
     def put(self, key, orientation: str, x: int, y: int, length: int) -> None:
         if orientation == "h":
@@ -234,7 +233,7 @@ def _certify(
     ux, uy, vx, vy = placement.cleared
     if area != abs(ux * vy - uy * vx):
         return None
-    width, height = placement.form("h")[1], placement.form("v")[1]
+    width, height = placement.forms["h"][1], placement.forms["v"][1]
     if any(
         x1 - x0 > width or y1 - y0 > height
         for x0, x1, y0, y1 in filter(None, edits.values())

@@ -51,18 +51,9 @@ class Vec2:
     def __add__(self, other: "Vec2") -> "Vec2":
         return Vec2(self.x + other.x, self.y + other.y)
 
-    def __sub__(self, other: "Vec2") -> "Vec2":
-        return Vec2(self.x - other.x, self.y - other.y)
-
-    def __neg__(self) -> "Vec2":
-        return Vec2(-self.x, -self.y)
-
     def scaled(self, t) -> "Vec2":
         t = Fraction(t)
         return Vec2(self.x * t, self.y * t)
-
-    def is_zero(self) -> bool:
-        return self.x == 0 and self.y == 0
 
     def __str__(self) -> str:
         return f"({self.x}, {self.y})"

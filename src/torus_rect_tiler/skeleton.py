@@ -12,8 +12,9 @@ is scanned pair by pair for the report (``_violations``).
 ``build_skeleton`` keeps the edges it cut, line by line, on the ``Skeleton``
 it returns (``Skeleton._lines``, an instance attribute and no dataclass
 field, so no part of its value), and ``decompose_axis_paths`` chains them
-from there.  A skeleton made any other way has its edges cleared and placed
-again (``_edge_lines``).
+from there.  A skeleton made any other way, a ``dataclasses.replace`` copy,
+a ``copy`` and a pickle included, holds the three fields only and has its
+edges cleared and placed again (``_edge_lines``).
 """
 
 from __future__ import annotations
@@ -190,9 +191,13 @@ class Skeleton:
     vertices: tuple[TorusPoint, ...]
     edges: tuple[SkeletonEdge, ...]
     # No field: build_skeleton sets its lines (_EdgeLine tuples) on the
-    # instance it returns, and a dataclasses.replace copy reads this None, so
-    # its edges are placed afresh.
+    # instance it returns.  A dataclasses.replace copy, a copy and a pickle
+    # hold the three fields only and read this None, so their edges are
+    # placed afresh.
     _lines = None
+
+    def __reduce__(self):
+        return Skeleton, (self.basis, self.vertices, self.edges)
 
     @property
     def total_length(self) -> Fraction:
@@ -235,7 +240,7 @@ def build_skeleton(tiling: Tiling) -> Skeleton:
     cleared, edges, lines = placement.cleared, [], []
     for line_id, segments in sorted(placement.on_line.items()):
         orientation, key = line_id
-        period = placement.form(orientation)[1]
+        period = placement.forms[orientation][1]
         bottoms = _bottoms(segments)
         last = max(bottoms)  # the latest bottom start before the first cut
         lengths: dict[int, int] = {}
@@ -294,14 +299,14 @@ def _edge_lines(skeleton: Skeleton) -> list[_EdgeLine]:
     for k, edge in enumerate(edges):
         orientation = edge.orientation.value
         x, y, length = ints[4 + 3 * k : 7 + 3 * k]
-        if length > placement.form(orientation)[1]:
+        if length > placement.forms[orientation][1]:
             raise ValueError(f"skeleton edge {edge} is not one arc of its line")
         placement.put(k, orientation, x, y, length)
     # A line holds its edges in input order, so the least of the first edges
     # refused on each line is the first refused in input order.
     lines, refused = [], []
     for (orientation, _), segments in sorted(placement.on_line.items()):
-        period = placement.form(orientation)[1]
+        period = placement.forms[orientation][1]
         arcs = _cuts(segments.values(), period)
         at, lengths = {}, {}  # the line's edges and their lengths, by start
         for k, (start, n) in segments.items():
@@ -321,12 +326,12 @@ def decompose_axis_paths(skeleton: Skeleton) -> AxisPathDecomposition:
     """Chain the edges of each torus line end to start (``_chains``).
 
     The lines are the ones ``build_skeleton`` cut, kept on the skeleton it
-    returned; a skeleton built any other way, a ``dataclasses.replace`` copy
-    included, has its edges placed on their lines again (``_edge_lines``),
-    which raises ValueError at the first edge that is not one arc of its
-    line.  Each edge is one distinct arc, so a line whose edges' lengths sum
-    to its period is one cycle; the chains of every other line are maximal
-    paths.
+    returned; a skeleton built any other way, a ``dataclasses.replace``
+    copy, a copy or a pickle included, has its edges placed on their lines
+    again (``_edge_lines``), which raises ValueError at the first edge that
+    is not one arc of its line.  Each edge is one distinct arc, so a line
+    whose edges' lengths sum to its period is one cycle; the chains of every
+    other line are maximal paths.
     """
     lines = skeleton._lines
     if lines is None:

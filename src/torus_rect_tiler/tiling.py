@@ -60,10 +60,6 @@ class Rect:
     def half_perimeter(self) -> Fraction:
         return self.width + self.height
 
-    @property
-    def area(self) -> Fraction:
-        return self.width * self.height
-
 
 @dataclass(frozen=True)
 class Tiling:

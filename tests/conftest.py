@@ -106,7 +106,7 @@ def _brute_sign_classes(basis: LatticeBasis) -> tuple[list[Vec2], list[Vec2]]:
     radius = min(l1_norm(basis.u), l1_norm(basis.v))
     while True:
         points = enumerate_lattice_points(basis, radius)
-        same = [p for p in points if not p.is_zero() and p.x * p.y >= 0]
+        same = [p for p in points if p != Vec2(0, 0) and p.x * p.y >= 0]
         opposite = [p for p in points if p.x * p.y < 0]
         if same and opposite:
             return same, opposite
@@ -136,9 +136,9 @@ def brute_quadrant_basis(basis: LatticeBasis) -> QuadrantBasis:
     p1 = min(same, key=lambda p: (l1_norm(p), abs(p.y)))
     p2 = min(opposite, key=lambda p: (l1_norm(p), abs(p.y)))
     if p1.x < 0 or (p1.x == 0 and p1.y < 0):
-        p1 = -p1
+        p1 = p1.scaled(-1)
     if p2.x > 0:
-        p2 = -p2
+        p2 = p2.scaled(-1)
     return QuadrantBasis(p1, p2)
 
 
@@ -312,7 +312,7 @@ def recut_lines(placement: _Placement) -> tuple[dict, dict]:
     """
     lines, arcs = {}, {}
     for line_id, segments in placement.on_line.items():
-        period = placement.form(line_id[0])[1]
+        period = placement.forms[line_id[0]][1]
         ends = {(start + n) % period for start, n in segments.values()}
         cuts = sorted(ends.union(start for start, _ in segments.values()))
         line = lines[line_id] = RecutLine(period, cuts)
@@ -370,7 +370,7 @@ def recut_decomposition(skeleton: Skeleton) -> AxisPathDecomposition:
     for k, edge in enumerate(edges):
         orientation = edge.orientation.value
         x, y, length = ints[4 + 3 * k : 7 + 3 * k]
-        if length > placement.form(orientation)[1]:
+        if length > placement.forms[orientation][1]:
             raise ValueError(f"skeleton edge {edge} is not one arc of its line")
         placement.put(k, orientation, x, y, length)
     lines, arcs = recut_lines(placement)

@@ -145,20 +145,29 @@ def test_verify_built_tiling_round_trip(capsys, tmp_path):
     assert doc == {"valid": True, "violations": []}
 
 
-def test_verify_duplicated_rectangle(capsys, tmp_path):
+@pytest.mark.parametrize(
+    "rects, only",
+    [
+        # The unit square twice: refused on area.
+        pytest.param([["0", "1", "0", "1"], ["0", "1", "0", "1"]], None, id="on-area"),
+        # The areas sum to the covolume, so the boundary cancellation test
+        # refuses it, and the overlap is its one violation: no coverage.
+        pytest.param(
+            [["0", "1/2", "0", "1"], ["3/4", "5/4", "0", "1"]],
+            "rects 0 and 1: interiors meet under lattice shift (1, 0)",
+            id="by-cancellation",
+        ),
+    ],
+)
+def test_verify_duplicated_rectangle(capsys, tmp_path, rects, only):
     path = tmp_path / "dup.json"
-    path.write_text(
-        json.dumps(
-            {
-                "basis": [["1", "0"], ["0", "1"]],
-                "rects": [["0", "1", "0", "1"], ["0", "1", "0", "1"]],
-            }
-        )
-    )
+    path.write_text(json.dumps({"basis": [["1", "0"], ["0", "1"]], "rects": rects}))
     code, doc, _ = run_json(capsys, "verify", "-t", str(path))
     assert code == 2
     assert doc["valid"] is False
     assert any(v["kind"] == "overlap" for v in doc["violations"])
+    if only is not None:
+        assert doc["violations"] == [{"kind": "overlap", "detail": only}]
 
 
 def test_verify_over_wide_rectangle(capsys, tmp_path):

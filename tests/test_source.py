@@ -134,15 +134,57 @@ def _names_in(node: ast.AST, own: frozenset = frozenset()) -> set[str]:
     return names
 
 
-def test_every_public_name_has_a_user():
-    # A public name must be used outside its own def or class: by another
-    # module of the package, by the README's example or by a bench/ script.
-    # __init__.py only re-exports, so it does not count.
+def _user_trees() -> list[ast.AST]:
+    # The code that may use the public API: the package's modules but
+    # __init__.py, which only re-exports, the README's example and bench/.
     trees = [tree for path, tree in _source_trees() if path.name != "__init__.py"]
     trees += map(ast.parse, _readme_python_blocks())
     trees += [ast.parse(path.read_text(encoding="utf-8")) for path in ROOT.glob("bench/*.py")]
-    used = set().union(*map(_names_in, trees))
+    return trees
+
+
+def test_every_public_name_has_a_user():
+    # A public name must be used outside its own def or class: by another
+    # module of the package, by the README's example or by a bench/ script.
+    used = set().union(*map(_names_in, _user_trees()))
     assert sorted(set(torus_rect_tiler.__all__) - used) == []
+
+
+def _attributes_read(node: ast.AST, own: frozenset = frozenset()) -> set[str]:
+    # Attribute names a tree reads outside the def that binds them.
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        own = own | {node.name}
+    names = set()
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        names = {node.attr} - own
+    for child in ast.iter_child_nodes(node):
+        names |= _attributes_read(child, own)
+    return names
+
+
+def test_every_public_member_has_a_reader():
+    # A public method or property of an exported class must be read as an
+    # attribute outside its own def: in src/, in the README's example or in a
+    # bench/ script; a member only the tests call is dead code.  The check
+    # goes by name, and skips _ names: an operator's operand type is not in
+    # the AST.
+    read = set().union(*map(_attributes_read, _user_trees()))
+    exported = {
+        name
+        for name in torus_rect_tiler.__all__
+        if isinstance(getattr(torus_rect_tiler, name), type)
+    }
+    members = [
+        (member.name, f"{path.name}:{node.name}.{member.name}")
+        for path, tree in _source_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name in exported
+        for member in node.body
+        if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not member.name.startswith("_")
+    ]
+    assert members
+    assert [where for name, where in members if name not in read] == []
 
 
 def test_every_imported_name_is_read_where_it_is_imported():
