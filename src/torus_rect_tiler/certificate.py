@@ -3,16 +3,15 @@
 A tiling has one integer form (den, cleared, boxes), made by one
 ``clear_denominators`` call (``_clear``): the basis (ux, uy, vx, vy) and each
 rectangle as a box (x0, x1, y0, y1), all integers over den.  Verification,
-placement, canonical points and the reduction's shifts run on it; only
-emitted values become fractions.  Each line family is read off the integer
-Hermite form {a*(d_x, 0) + b*(shear, g_y)} of the cleared lattice
-(``lattice.axis_forms``), so locating a point on its line is one divmod and
-one remainder.  One placement (``_Placement``) holds axis segments (rectangle
-sides or skeleton edges) by torus line, each as its start and length along
-the line: the one model of a line.  The certificate counts segment
-endpoints; the other readers link segments end to start (``_chains``) or cut
-a line into arcs at the sorted endpoints (``_cuts``).  The certificate's
-placement also holds the certified boxes, their area and their length.
+placement, canonical points, the reduction's shifts and the picture run on
+it; only emitted values become fractions.  Each line family is read off the
+integer Hermite form {a*(d_x, 0) + b*(shear, g_y)} of the cleared lattice
+(``lattice.axis_forms``), and ``_locate``, the one model of a line, maps a
+point to its line and its start along it with one divmod and one remainder.
+The certificate's placement (``_Placement``) holds each certified side as
+(start, length) on its line.  The certificate counts side endpoints; the
+other readers link segments (sides or skeleton edges) end to start
+(``_chains``) or cut a line into arcs at the sorted endpoints (``_cuts``).
 
 Validity is certified by a degree argument (``_certify``).  Let f count the
 rectangles over each torus point.  Crossing a horizontal line upward, f
@@ -49,7 +48,6 @@ exactly when a bottom side covers it (``skeleton.build_skeleton``).
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Collection, Iterable
 
 from .exact_math import clear_denominators
@@ -69,24 +67,34 @@ def _clear(tiling: Tiling) -> tuple[int, _Ints, list[_Ints]]:
     return den, ints[:4], [ints[k : k + 4] for k in range(4, len(ints), 4)]
 
 
-class _Placement:
-    """Axis segments, each under its own key, held by torus line, and for
-    the certificate (``_certify``) the certified boxes, their area and their
-    length (the sum of their half-perimeters).
+def _locate(forms: dict, orientation: str, x: int, y: int) -> tuple[_LineId, int]:
+    """The line through (x, y) in +x ("h") or +y ("v"), and the point's start
+    along it in [0, period), from the Hermite forms (spacing, period, shear)
+    by orientation.  A line is (orientation, line key), the line key being
+    the offset across the line modulo the spacing."""
+    along, offset = (x, y) if orientation == "h" else (y, x)
+    spacing, period, shear = forms[orientation]
+    # The lattice vector steps*(shear, spacing) moves the point onto the line
+    # of line_key in [0, spacing).
+    steps, line_key = divmod(offset, spacing)
+    return (orientation, line_key), (along - steps * shear) % period
 
-    A segment (orientation, x, y, length) runs from (x, y) in +x ("h") or
-    +y ("v"); on its line it is (start, length), the start being its position
-    along the line in [0, period).  ``put`` and ``drop`` change segments and
-    record the lines they leave or join in ``touched``, so a caller that moves
-    a few segments checks only those lines.  Lines are held by (orientation,
-    line key), the line key being the offset across the line modulo the
-    spacing; segment values, line keys, cuts and arc lengths are integers over
-    the denominator of the cleared basis.  The Hermite forms are built on the
-    first read of ``forms``.
+
+class _Placement:
+    """The certificate's state (``_certify``): the certified boxes, their
+    area, their length (the sum of their half-perimeters), the Hermite form
+    of each line family by orientation, and the boxes' sides, each under its
+    own key, held by torus line as (start, length) (``_locate``).
+
+    ``put`` and ``drop`` change sides and record the lines they leave or join
+    in ``touched``, so an edit that moves a few sides counts again only on
+    those lines.  Side values, line keys, cuts and arc lengths are integers
+    over the denominator of the cleared basis.
     """
 
     def __init__(self, cleared: _Ints):
         self.cleared = cleared
+        self.forms = dict(zip("hv", axis_forms(*cleared)))
         self.boxes: dict[int, _Ints] = {}  # the boxes whose sides _certify placed
         self.area = 0  # of those boxes
         self.length = 0  # their half-perimeters summed
@@ -94,23 +102,9 @@ class _Placement:
         self.line_of: dict = {}
         self.touched: set[_LineId] = set()
 
-    @cached_property
-    def forms(self) -> dict[str, tuple[int, int, int]]:
-        """The Hermite form (spacing, period, shear) of each line family, by
-        orientation."""
-        return dict(zip("hv", axis_forms(*self.cleared)))
-
     def put(self, key, orientation: str, x: int, y: int, length: int) -> None:
-        if orientation == "h":
-            along, offset = x, y
-        else:
-            along, offset = y, x
-        spacing, period, shear = self.forms[orientation]
-        # The lattice vector steps*(shear, spacing) moves the segment onto
-        # the line of line_key in [0, spacing).
-        steps, line_key = divmod(offset, spacing)
-        line_id = (orientation, line_key)
-        segment = ((along - steps * shear) % period, length)
+        line_id, start = _locate(self.forms, orientation, x, y)
+        segment = (start, length)
         placed = self.line_of.get(key)
         if placed is not None:
             if placed == line_id and self.on_line[line_id][key] == segment:
@@ -211,10 +205,10 @@ def _certify(
     placed before either tiled the torus or were none: so a whole tiling is
     certified by applying ``dict(enumerate(boxes))`` to an empty placement.
     The area test runs first, on the area kept from the edited boxes, and
-    places no side and builds no Hermite form; then the side-length guard,
-    then the endpoint counts and bottom lengths of ``_cancels`` on the
-    touched lines.  The boxes, their area and their length hold the edits
-    even after None, but the sides are then of no use.
+    places no side; then the side-length guard, then the endpoint counts and
+    bottom lengths of ``_cancels`` on the touched lines.  The boxes, their
+    area and their length hold the edits even after None, but the sides are
+    then of no use.
     """
     boxes, area, length = placement.boxes, placement.area, placement.length
     for k, box in edits.items():

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 
@@ -136,14 +137,18 @@ def _load_tiling(path: str, basis_text) -> Tiling:
 
 
 def _emit(text: str, output) -> None:
-    if output is None:
-        sys.stdout.write(text)
-        return
     try:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        if output is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            with open(output, "w", encoding="utf-8") as handle:
+                handle.write(text)
     except OSError as exc:
-        raise CliError(f"cannot write {output}: {exc}") from None
+        if output is None:  # so that Python's flush at exit cannot fail
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        where = "standard output" if output is None else output
+        raise CliError(f"cannot write {where}: {exc}") from None
 
 
 def _emit_json(doc, output) -> None:

@@ -31,10 +31,11 @@ from .certificate import (
     _cuts,
     _Ints,
     _LineId,
+    _locate,
     _Placement,
 )
 from .exact_math import Vec2, clear_denominators
-from .lattice import LatticeBasis, box_points
+from .lattice import LatticeBasis, axis_forms, box_points
 from .tiling import Rect, Tiling
 
 
@@ -295,18 +296,20 @@ def _edge_lines(skeleton: Skeleton) -> list[_EdgeLine]:
         *skeleton.basis.entries,
         *(c for e in edges for c in (e.origin.rep.x, e.origin.rep.y, e.length)),
     )
-    placement = _Placement(ints[:4])
+    forms = dict(zip("hv", axis_forms(*ints[:4])))
+    on_line: dict[_LineId, dict] = {}  # line -> {k: (start, length)}
     for k, edge in enumerate(edges):
         orientation = edge.orientation.value
         x, y, length = ints[4 + 3 * k : 7 + 3 * k]
-        if length > placement.forms[orientation][1]:
+        if length > forms[orientation][1]:
             raise ValueError(f"skeleton edge {edge} is not one arc of its line")
-        placement.put(k, orientation, x, y, length)
+        line_id, start = _locate(forms, orientation, x, y)
+        on_line.setdefault(line_id, {})[k] = (start, length)
     # A line holds its edges in input order, so the least of the first edges
     # refused on each line is the first refused in input order.
     lines, refused = [], []
-    for (orientation, _), segments in sorted(placement.on_line.items()):
-        period = placement.forms[orientation][1]
+    for (orientation, _), segments in sorted(on_line.items()):
+        period = forms[orientation][1]
         arcs = _cuts(segments.values(), period)
         at, lengths = {}, {}  # the line's edges and their lengths, by start
         for k, (start, n) in segments.items():

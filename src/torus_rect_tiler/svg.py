@@ -2,15 +2,15 @@
 the basis parallelogram for context, nearby lattice points, and the basis
 vectors drawn as arrows from the origin.
 
-The picture is computed on one cleared integer frame, with no Fraction per
-point: each pixel coordinate is rounded half away from zero at three decimals
-from its integer numerator and denominator, so identical inputs give
-identical bytes.
+The picture is computed on the tiling's integer form (``certificate._clear``)
+scaled by 10, with no Fraction per point: each pixel coordinate is rounded
+half away from zero at three decimals from its integer numerator and
+denominator, so identical inputs give identical bytes.
 """
 
 from __future__ import annotations
 
-from .exact_math import clear_denominators
+from .certificate import _clear, _Ints
 from .lattice import axis_forms, box_points
 from .tiling import Tiling
 
@@ -24,20 +24,18 @@ def _round3(n, d=1) -> str:
     return ("-" + text) if n < 0 and m else text
 
 
-def _frame(tiling: Tiling) -> tuple[int, tuple[int, ...], tuple[int, int, int, int]]:
-    """(den, ints, box): basis entries, rectangle coordinates and the padded
-    box (x_lo, x_hi, y_lo, y_hi) in units of 1/den, with den ten times the LCD."""
-    u, v = tiling.basis.u, tiling.basis.v
-    den, ints = clear_denominators(
-        u.x, u.y, v.x, v.y, *(c for r in tiling.rects for c in (r.x0, r.x1, r.y0, r.y1))
-    )
-    ints = tuple(10 * c for c in ints)
-    ux, uy, vx, vy = ints[:4]
-    xs = (0, ux, vx, ux + vx, *ints[4::4], *ints[5::4])
-    ys = (0, uy, vy, uy + vy, *ints[6::4], *ints[7::4])
+def _frame(tiling: Tiling) -> tuple[int, _Ints, list[_Ints], _Ints]:
+    """(den, cleared, boxes, box): the cleared basis, the rectangles' boxes
+    and the padded box (x_lo, x_hi, y_lo, y_hi) in units of 1/den, with den
+    ten times the LCD."""
+    den, cleared, boxes = _clear(tiling)
+    ux, uy, vx, vy = cleared = tuple(10 * c for c in cleared)
+    boxes = [tuple(10 * c for c in box) for box in boxes]
+    xs = (0, ux, vx, ux + vx, *(c for box in boxes for c in box[:2]))
+    ys = (0, uy, vy, uy + vy, *(c for box in boxes for c in box[2:]))
     x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys), max(ys)
     pad = max(x_hi - x_lo, y_hi - y_lo) // 10
-    return 10 * den, ints, (x_lo - pad, x_hi + pad, y_lo - pad, y_hi + pad)
+    return 10 * den, cleared, boxes, (x_lo - pad, x_hi + pad, y_lo - pad, y_hi + pad)
 
 
 def point_bound(tiling: Tiling) -> int:
@@ -45,8 +43,8 @@ def point_bound(tiling: Tiling) -> int:
     lattice x-coordinates are the multiples of g_x, the spacing of the
     vertical lattice lines, and the points on one are d_y apart, so the
     picture's W x H box holds at most (W // g_x + 1) * (H // d_y + 1)."""
-    _, ints, (x_lo, x_hi, y_lo, y_hi) = _frame(tiling)
-    g_x, d_y, _ = axis_forms(*ints[:4])[1]
+    _, cleared, _, (x_lo, x_hi, y_lo, y_hi) = _frame(tiling)
+    g_x, d_y, _ = axis_forms(*cleared)[1]
     return ((x_hi - x_lo) // g_x + 1) * ((y_hi - y_lo) // d_y + 1)
 
 
@@ -62,8 +60,8 @@ def render_tiling_svg(tiling: Tiling, width: int = 640) -> str:
     """
     if width <= 0:
         raise ValueError("width must be a positive pixel count")
-    _, ints, (x_lo, x_hi, y_lo, y_hi) = _frame(tiling)
-    ux, uy, vx, vy = ints[:4]
+    _, cleared, boxes, (x_lo, x_hi, y_lo, y_hi) = _frame(tiling)
+    ux, uy, vx, vy = cleared
     w = x_hi - x_lo
 
     def point(a: int, b: int) -> tuple[str, str]:
@@ -76,13 +74,13 @@ def render_tiling_svg(tiling: Tiling, width: int = 640) -> str:
         'stroke="#999999" stroke-dasharray="6,4" stroke-width="1"/>'
     ]
 
-    for a, b in sorted(box_points((ux, uy, vx, vy), x_lo, x_hi, y_lo, y_hi)):
+    for a, b in sorted(box_points(cleared, x_lo, x_hi, y_lo, y_hi)):
         cx, cy = point(a, b)
         elements.append(
             f'<circle class="lattice-point" cx="{cx}" cy="{cy}" r="3" fill="#444444"/>'
         )
 
-    for rx0, rx1, ry0, ry1 in zip(ints[4::4], ints[5::4], ints[6::4], ints[7::4]):
+    for rx0, rx1, ry0, ry1 in boxes:
         x, y = point(rx0, ry1)
         rw, rh = _round3((rx1 - rx0) * width, w), _round3((ry1 - ry0) * width, w)
         elements.append(

@@ -22,7 +22,6 @@ from torus_rect_tiler import (
     tiling_length,
     verify_tiling,
 )
-from torus_rect_tiler.certificate import _Placement
 from torus_rect_tiler.exact_math import clear_denominators
 from torus_rect_tiler.lattice import _inverse_l1_norm
 from torus_rect_tiler.skeleton import (
@@ -302,17 +301,19 @@ class RecutLine:
         return runs
 
 
-def recut_lines(placement: _Placement) -> tuple[dict, dict]:
-    """Cut every line of a placement at its segments' endpoints, arc by arc.
+def recut_lines(on_line: dict, periods: dict) -> tuple[dict, dict]:
+    """Cut every line at its segments' endpoints, arc by arc.
 
+    ``on_line`` maps each line id (orientation, key) to its segments {key:
+    (start, length)}, and ``periods`` each orientation to its lines' period.
     Returns the ``RecutLine`` of each line id and, per segment key, the
-    indices of the arcs its segment covers.  Reads only ``on_line`` and the
-    line periods, and walks each segment over the arcs one by one, so it is
-    independent of the endpoint chains the skeleton reads.
+    indices of the arcs its segment covers.  Walks each segment over the arcs
+    one by one, so it is independent of the endpoint chains the skeleton
+    reads.
     """
     lines, arcs = {}, {}
-    for line_id, segments in placement.on_line.items():
-        period = placement.forms[line_id[0]][1]
+    for line_id, segments in on_line.items():
+        period = periods[line_id[0]]
         ends = {(start + n) % period for start, n in segments.values()}
         cuts = sorted(ends.union(start for start, _ in segments.values()))
         line = lines[line_id] = RecutLine(period, cuts)
@@ -332,7 +333,7 @@ def recut_lines(placement: _Placement) -> tuple[dict, dict]:
 def recut_skeleton(tiling: Tiling) -> Skeleton:
     """``build_skeleton`` read off ``recut_lines``: an edge per covered arc."""
     den, placement, _ = _clear_valid(tiling)
-    lines, _ = recut_lines(placement)
+    lines, _ = recut_lines(placement.on_line, placement_periods(placement))
     corners, edges = set(), []
     for (orientation, key), line in lines.items():
         for i, cut in enumerate(line.cuts):
@@ -357,26 +358,68 @@ def recut_skeleton(tiling: Tiling) -> Skeleton:
     )
 
 
+def placement_periods(placement) -> dict:
+    """The period of a placement's lines, by orientation."""
+    return {o: placement.forms[o][1] for o in "hv"}
+
+
+def bezout(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with s*a + t*b = g = gcd(a, b) >= 0: extended Euclid."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b, s0, s1, t0, t1 = b, r, s1, s0 - q * s1, t1, t0 - q * t1
+    return (a, s0, t0) if a >= 0 else (-a, -s0, -t0)
+
+
+def oracle_line(cleared, orientation: str, x: int, y: int):
+    """The torus line through the integer point (x, y) of the cleared lattice
+    in +x ("h") or +y ("v"), as ((orientation, key), start, period).
+
+    The lines of a family lie g apart across, g the gcd of the basis
+    vectors' across coordinates, so the key is the point's offset across
+    modulo g.  The lattice vector s*u + t*v, (s, t) Bezout coefficients of
+    those coordinates, steps g across and ``shear`` along; moving the point
+    that many steps onto the line of its key gives its start modulo the
+    period |det| / g, the length of the shortest lattice vector along the
+    line.  Another choice of (s, t) changes the shear by a multiple of the
+    period.
+    """
+    ux, uy, vx, vy = cleared
+    if orientation == "h":
+        (ua, uc), (va, vc), along, across = (ux, uy), (vx, vy), x, y
+    else:
+        (ua, uc), (va, vc), along, across = (uy, ux), (vy, vx), y, x
+    g, s, t = bezout(uc, vc)
+    shear, period = s * ua + t * va, abs(ux * vy - uy * vx) // g
+    key = across % g
+    start = (along - (across - key) // g * shear) % period
+    return (orientation, key), start, period
+
+
 def recut_decomposition(skeleton: Skeleton) -> AxisPathDecomposition:
     """``decompose_axis_paths`` read off ``recut_lines``: an edge must cover
     exactly one arc, and no arc twice; a line whose arcs are all covered is a
-    cycle, and every other line gives its runs as paths."""
+    cycle, and every other line gives its runs as paths.  Each edge is put
+    on its line by ``oracle_line``, not by the certificate's line model."""
     edges = skeleton.edges
     _, ints = clear_denominators(
         *skeleton.basis.entries,
         *(c for e in edges for c in (e.origin.rep.x, e.origin.rep.y, e.length)),
     )
-    placement = _Placement(ints[:4])
+    on_line, line_of, periods = {}, {}, {}
     for k, edge in enumerate(edges):
         orientation = edge.orientation.value
         x, y, length = ints[4 + 3 * k : 7 + 3 * k]
-        if length > placement.forms[orientation][1]:
+        line_id, start, periods[orientation] = oracle_line(ints[:4], orientation, x, y)
+        if length > periods[orientation]:
             raise ValueError(f"skeleton edge {edge} is not one arc of its line")
-        placement.put(k, orientation, x, y, length)
-    lines, arcs = recut_lines(placement)
+        on_line.setdefault(line_id, {})[k] = (start, length)
+        line_of[k] = line_id
+    lines, arcs = recut_lines(on_line, periods)
     edge_at = {}
     for k, edge in enumerate(edges):
-        line_id, covered = placement.line_of[k], arcs[k]
+        line_id, covered = line_of[k], arcs[k]
         if len(covered) != 1 or (line_id, covered[0]) in edge_at:
             raise ValueError(f"skeleton edge {edge} is not one arc of its line")
         edge_at[line_id, covered[0]] = edge

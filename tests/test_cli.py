@@ -641,6 +641,33 @@ def test_verify_refuses_a_huge_square_over_the_integers(tmp_path):
     assert run_cli_process("verify", "-t", str(path)).returncode == 2
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("command", ["minlen", "verify", "oracle"])
+def test_a_full_standard_output_is_one_error_line(capsys, tmp_path, command):
+    # Every write to /dev/full fails with ENOSPC.  Neither the failed write
+    # nor Python's flush of stdout at exit may print a traceback, whether
+    # stdout is buffered (the default) or not.
+    argv = {
+        "minlen": ("minlen", "-b", SKEWED_23),
+        "verify": ("verify", "-t", str(write_tiling(tmp_path, capsys, SKEWED_23))),
+        "oracle": ("oracle", "-b", SKEWED_23, "--radius", "8"),
+    }[command]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(
+                [sys.executable, "-m", "torus_rect_tiler.cli", *argv],
+                stdout=full,
+                stderr=subprocess.PIPE,
+                env={**env, **unbuffered},
+                timeout=10,
+            )
+        assert done.returncode == 1, unbuffered
+        assert done.stderr.startswith(b"error: cannot write standard output: ")
+        assert done.stderr.count(b"\n") == 1, done.stderr
+
+
 def test_numbers_past_the_int_digit_limit_are_an_error_line(capsys, tmp_path):
     # By default Python converts no int of over 4300 digits to or from text.  Here
     # the covolume has 5001 digits, and the tiling file holds a 5000-digit int.

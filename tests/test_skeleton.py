@@ -39,12 +39,13 @@ from torus_rect_tiler import (
 from torus_rect_tiler.exact_math import clear_denominators
 from torus_rect_tiler.lattice import axis_forms
 from torus_rect_tiler import certificate, skeleton
-from torus_rect_tiler.certificate import _Placement, _certify, _clear
+from torus_rect_tiler.certificate import _Placement, _certify, _clear, _locate
 from torus_rect_tiler.skeleton import InvalidTilingError, Skeleton, _violations
 from conftest import (
     assert_matches_brute_decomposition,
     brute_canonicalize,
     contains,
+    placement_periods,
     random_int_basis,
     random_positive_rational,
     random_rational,
@@ -131,21 +132,20 @@ def test_axis_form_matches_axis_periods_and_locate_is_lattice_invariant(kind):
             p = Vec2(random_rational(rng), random_rational(rng))
             q = p + lattice_point(basis, rng.randint(-6, 6), rng.randint(-6, 6))
             length = random_positive_rational(rng)
-            place_den, (*cleared, px, py, qx, qy, length_int) = clear_denominators(
+            # The points share their denominator with a length, as the
+            # origin of a skeleton edge does.
+            place_den, (*cleared, px, py, qx, qy, _) = clear_denominators(
                 *basis.entries, p.x, p.y, q.x, q.y, length
             )
             for orientation, d in ((Orientation.H, per.d_x), (Orientation.V, per.d_y)):
                 h_line = orientation is Orientation.H
-                placement = _Placement(cleared)
-                period = placement.forms[orientation.value][1]
-                placement.put(0, orientation.value, px, py, length_int)
-                placement.put(1, orientation.value, qx, qy, length_int)
+                forms = _Placement(cleared).forms
+                period = forms[orientation.value][1]
                 placed = [
-                    (placement.line_of[k], placement.on_line[placement.line_of[k]][k])
-                    for k in (0, 1)
+                    _locate(forms, orientation.value, x, y) for x, y in ((px, py), (qx, qy))
                 ]
                 assert placed[0] == placed[1]
-                line_id, (start, _) = placed[0]
+                line_id, start = placed[0]
                 key = Fraction(line_id[1], place_den)
                 coord = Fraction(start, place_den)
                 assert 0 <= key < basis.covolume / d and 0 <= coord < d
@@ -867,10 +867,10 @@ def test_step_check_agrees_with_full_verification():
                 whole_placement, whole_placement.on_line
             )
             cycles += bool(whole)
-            # A certificate refused on area builds no Hermite form.
+            # A certificate refused on area places no side.
             ux, uy, vx, vy = cleared
             on_area = whole_placement.area == abs(ux * vy - uy * vx)
-            assert ("forms" in vars(whole_placement)) == on_area
+            assert on_area or not whole_placement.on_line
             # The reduction's incremental form, from the unedited placement.
             placement = _Placement(cleared)
             assert _certify(placement, dict(enumerate(boxes))) is not None
@@ -959,7 +959,7 @@ def test_reduction_scans_only_pairs_a_step_can_change(monkeypatch, count, full_r
 def recut_runs(placement: _Placement) -> dict:
     """Each line's runs (start, length) read off ``recut_lines``' arcs; [] for
     a cycle."""
-    lines, _ = recut_lines(placement)
+    lines, _ = recut_lines(placement.on_line, placement_periods(placement))
     return {
         line_id: []
         if all(line.covered)

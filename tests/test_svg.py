@@ -96,7 +96,7 @@ def test_large_picture_bytes_are_pinned(name):
 
 def _view_box(tiling: Tiling) -> tuple[Fraction, ...]:
     """The picture's padded box in the plane, read off its integer frame."""
-    den, _, box = _frame(tiling)
+    den, _, _, box = _frame(tiling)
     assert type(den) is int and den > 0 and all(type(c) is int for c in box)
     return tuple(Fraction(c, den) for c in box)
 
