@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 input or usage error, 2 verification failure.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -105,6 +106,15 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
+    # Help and usage text for stdout goes through _emit: argparse would drop
+    # a failed write and exit 0, or leave it to Python's flush at exit.  A
+    # closed stdout reaches here as file None.
+    def _print_message(self, message, file=None):
+        if message and file is sys.stdout:
+            _emit(message, None)
+        else:
+            super()._print_message(message, file)
+
 
 def _parse_basis(text: str) -> LatticeBasis:
     # Only ASCII whitespace separates the rationals, as in parse_rational.
@@ -139,13 +149,16 @@ def _load_tiling(path: str, basis_text) -> Tiling:
 def _emit(text: str, output) -> None:
     try:
         if output is None:
+            if sys.stdout is None:  # Python's stdout when fd 1 was closed
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
             sys.stdout.write(text)
             sys.stdout.flush()
         else:
             with open(output, "w", encoding="utf-8") as handle:
                 handle.write(text)
     except OSError as exc:
-        if output is None:  # so that Python's flush at exit cannot fail
+        if output is None and sys.stdout is not None:
+            # so that Python's flush at exit cannot fail
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         where = "standard output" if output is None else output
         raise CliError(f"cannot write {where}: {exc}") from None

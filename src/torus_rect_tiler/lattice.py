@@ -181,7 +181,10 @@ def quadrant_basis(basis: LatticeBasis) -> QuadrantBasis:
     from shell 1; the basis is independent, so no pair there gives the zero
     vector.  Shell n is closed under negation and both members of a pair
     +-(z1, z2) give the same ``sign_key``, so it is enough to visit one of
-    each: z1 >= 0, and z2 > 0 when z1 = 0, which is 2n pairs on shell n.
+    each: z1 >= 0, and z2 > 0 when z1 = 0.  These 2n pairs are two arithmetic
+    progressions of lattice points, each point the previous one plus a fixed
+    step: z2 = n - z1 for z1 = 0..n, from n*v by u - v, and z2 = z1 - n for
+    z1 = 1..n-1, from u - (n-1)*v by u + v.
     Once both candidates exist, the search is complete as soon as the
     finished shells exhaust every preimage of the current best norms, which
     the inverse-norm bound guarantees.  Each class keeps its least key, so
@@ -199,15 +202,19 @@ def quadrant_basis(basis: LatticeBasis) -> QuadrantBasis:
         if best1 is not None and best2 is not None:
             if n * det > m * max(best1[0], best2[0]):
                 break
-        for z1 in range(n + 1):
-            rest = n - z1
-            for z2 in (rest, -rest) if rest and z1 else (rest,):
-                key = sign_key(z1 * ux + z2 * vx, z1 * uy + z2 * vy)
+        for x, y, dx, dy, count in (
+            (n * vx, n * vy, ux - vx, uy - vy, n + 1),
+            (ux - (n - 1) * vx, uy - (n - 1) * vy, ux + vx, uy + vy, n - 1),
+        ):
+            for _ in range(count):
+                key = sign_key(x, y)
                 if key[2] < 0:
                     if best2 is None or key < best2:
                         best2 = key
                 elif best1 is None or key < best1:
                     best1 = key
+                x += dx
+                y += dy
     (_, y1, x1), (_, y2, x2) = best1, best2
     if abs(x1 * y2 - y1 * x2) != det:
         raise RuntimeError(f"quadrant pair is not a lattice basis for {basis}")

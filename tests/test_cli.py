@@ -642,15 +642,18 @@ def test_verify_refuses_a_huge_square_over_the_integers(tmp_path):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
-@pytest.mark.parametrize("command", ["minlen", "verify", "oracle"])
+@pytest.mark.parametrize("command", ["minlen", "verify", "oracle", "help", "minlen-help"])
 def test_a_full_standard_output_is_one_error_line(capsys, tmp_path, command):
     # Every write to /dev/full fails with ENOSPC.  Neither the failed write
     # nor Python's flush of stdout at exit may print a traceback, whether
-    # stdout is buffered (the default) or not.
+    # stdout is buffered (the default) or not.  Help text is output too:
+    # argparse alone would exit 0 on it, unbuffered, having written nothing.
     argv = {
         "minlen": ("minlen", "-b", SKEWED_23),
         "verify": ("verify", "-t", str(write_tiling(tmp_path, capsys, SKEWED_23))),
         "oracle": ("oracle", "-b", SKEWED_23, "--radius", "8"),
+        "help": ("--help",),
+        "minlen-help": ("minlen", "--help"),
     }[command]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(ROOT / "src")
@@ -666,6 +669,23 @@ def test_a_full_standard_output_is_one_error_line(capsys, tmp_path, command):
         assert done.returncode == 1, unbuffered
         assert done.stderr.startswith(b"error: cannot write standard output: ")
         assert done.stderr.count(b"\n") == 1, done.stderr
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes fd 1 in the child")
+@pytest.mark.parametrize("argv", [("minlen", "-b", SKEWED_23), ("--help",)],
+                         ids=["minlen", "help"])
+def test_a_closed_standard_output_is_one_error_line(argv):
+    # With fd 1 closed at start-up, Python's sys.stdout is None.
+    done = subprocess.run(
+        [sys.executable, "-m", "torus_rect_tiler.cli", *argv],
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        preexec_fn=lambda: os.close(1),
+        timeout=10,
+    )
+    assert done.returncode == 1
+    assert done.stderr.startswith(b"error: cannot write standard output: ")
+    assert done.stderr.count(b"\n") == 1, done.stderr
 
 
 def test_numbers_past_the_int_digit_limit_are_an_error_line(capsys, tmp_path):

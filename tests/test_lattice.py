@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -300,6 +301,65 @@ def test_quadrant_basis_work_is_pinned_as_a_key_count(monkeypatch, u, v, count):
     monkeypatch.setattr(lattice, "sign_key", counting)
     quadrant_basis(LatticeBasis(Vec2(*u), Vec2(*v)))
     assert len(calls) == count
+
+
+@pytest.mark.parametrize(
+    "u, v, shells",
+    [((1, 1), (10, 11), 25), ((1, 1), (30, 31), 65), ((1, 1), (100, 101), 205),
+     ((1, 0), (0, 50), 52)],
+)
+def test_quadrant_basis_visits_one_of_each_pair_before_the_stop(monkeypatch, u, v, shells):
+    # The key-count pin's bases, with N = shells its stop shell: the points
+    # keyed must be z1*u + z2*v, one of each +-(z1, z2) with 0 < |z1| + |z2|
+    # < N, each once, then QuadrantBasis's two vectors.  A walk that visits
+    # the right number of wrong points passes the count and fails here.
+    calls = []
+    real = lattice.sign_key
+
+    def recording(x, y):
+        calls.append((x, y))
+        return real(x, y)
+
+    monkeypatch.setattr(lattice, "sign_key", recording)
+    qb = quadrant_basis(LatticeBasis(Vec2(*u), Vec2(*v)))
+    (ux, uy), (vx, vy) = u, v
+    want = [
+        (z1 * ux + z2 * vx, z1 * uy + z2 * vy)
+        for z1 in range(shells)
+        for z2 in range(-shells, shells + 1)
+        if 0 < z1 + abs(z2) < shells and (z1 > 0 or z2 > 0)
+    ]
+    want += [(qb.u1.x, qb.u1.y), (qb.u2.x, qb.u2.y)]
+    assert Counter(calls) == Counter(want)
+
+
+# Bases where a step of the shell walk, u - v or u + v, or a basis vector has a
+# zero coordinate: each rule ties one coordinate of v to u, or sets one to 0.
+# A walk that built its progressions with range() would raise on a zero step.
+ZERO_STEP_RULES = (
+    lambda u, v: (u, Vec2(u.x, v.y)),
+    lambda u, v: (u, Vec2(v.x, u.y)),
+    lambda u, v: (u, Vec2(-u.x, v.y)),
+    lambda u, v: (u, Vec2(v.x, -u.y)),
+    lambda u, v: (Vec2(u.x, 0), v),
+    lambda u, v: (Vec2(0, u.y), v),
+    lambda u, v: (u, Vec2(v.x, 0)),
+    lambda u, v: (u, Vec2(0, v.y)),
+)
+
+
+def test_quadrant_basis_handles_zero_steps():
+    rng = random.Random(30)
+    for draw in (random_int_basis, random_rational_basis):
+        for rule in ZERO_STEP_RULES:
+            for _ in range(15):
+                while True:
+                    basis = draw(rng)
+                    u, v = rule(basis.u, basis.v)
+                    if u.x * v.y - u.y * v.x:
+                        break
+                basis = LatticeBasis(u, v)
+                assert quadrant_basis(basis) == brute_quadrant_basis(basis)
 
 
 def test_axis_periods_examples():
