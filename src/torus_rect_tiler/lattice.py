@@ -160,13 +160,18 @@ class QuadrantBasis:
     u2: Vec2
 
     def __post_init__(self):
-        norm, y1, x1 = sign_key(self.u1.x, self.u1.y)
-        if norm == 0 or x1 < 0:
+        # Checked on the coordinates times their common denominator: scaling
+        # by a positive integer keeps every sign and every equality.
+        _, (x1, y1, x2, y2) = clear_denominators(
+            self.u1.x, self.u1.y, self.u2.x, self.u2.y
+        )
+        norm, key_y1, key_x1 = sign_key(x1, y1)
+        if norm == 0 or key_x1 < 0:
             raise ValueError(f"u1 must be a nonzero same-sign vector, got {self.u1}")
-        if (x1, y1) != (self.u1.x, self.u1.y):
+        if (key_x1, key_y1) != (x1, y1):
             raise ValueError(f"u1 not in canonical orientation: {self.u1}")
-        _, y2, x2 = sign_key(self.u2.x, self.u2.y)
-        if x2 >= 0 or (x2, y2) != (self.u2.x, self.u2.y):
+        _, key_y2, key_x2 = sign_key(x2, y2)
+        if key_x2 >= 0 or (key_x2, key_y2) != (x2, y2):
             raise ValueError(f"u2 must satisfy x < 0 < y, got {self.u2}")
 
     @property
@@ -190,6 +195,11 @@ def quadrant_basis(basis: LatticeBasis) -> QuadrantBasis:
     the inverse-norm bound guarantees.  Each class keeps its least key, so
     ties at equal norm go to the vector with the smaller |y| (the flattest
     one).
+
+    From the first shell that starts with both candidates, only points no
+    longer than W, the larger of their norms and the bound the stop test
+    uses, are keyed: a longer point's key loses to its own class's candidate
+    on the norm alone, so leaving it out changes no candidate.
     """
     den, (ux, uy, vx, vy) = clear_denominators(*basis.entries)
     # On the cleared basis the inverse-norm bound of ``_inverse_l1_norm`` times
@@ -198,21 +208,24 @@ def quadrant_basis(basis: LatticeBasis) -> QuadrantBasis:
     det = abs(ux * vy - uy * vx)
     best1: Optional[tuple[int, int, int]] = None  # least key with x' >= 0
     best2: Optional[tuple[int, int, int]] = None  # least key with x' < 0
+    w: Optional[int] = None  # the larger best norm, once both exist
     for n in itertools.count(1):
         if best1 is not None and best2 is not None:
-            if n * det > m * max(best1[0], best2[0]):
+            w = max(best1[0], best2[0])
+            if n * det > m * w:
                 break
         for x, y, dx, dy, count in (
             (n * vx, n * vy, ux - vx, uy - vy, n + 1),
             (ux - (n - 1) * vx, uy - (n - 1) * vy, ux + vx, uy + vy, n - 1),
         ):
             for _ in range(count):
-                key = sign_key(x, y)
-                if key[2] < 0:
-                    if best2 is None or key < best2:
-                        best2 = key
-                elif best1 is None or key < best1:
-                    best1 = key
+                if w is None or abs(x) + abs(y) <= w:
+                    key = sign_key(x, y)
+                    if key[2] < 0:
+                        if best2 is None or key < best2:
+                            best2 = key
+                    elif best1 is None or key < best1:
+                        best1 = key
                 x += dx
                 y += dy
     (_, y1, x1), (_, y2, x2) = best1, best2

@@ -1,5 +1,7 @@
+import inspect
 import itertools
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -277,51 +279,84 @@ def test_quadrant_basis_follows_the_tie_rule():
             assert quadrant_basis(image) == want
 
 
-@pytest.mark.parametrize(
-    "u, v, count",
-    [
-        ((1, 1), (10, 11), 24 * 25 + 2),
-        ((1, 1), (30, 31), 64 * 65 + 2),
-        ((1, 1), (100, 101), 204 * 205 + 2),
-        ((1, 0), (0, 50), 51 * 52 + 2),
-    ],
-)
-def test_quadrant_basis_work_is_pinned_as_a_key_count(monkeypatch, u, v, count):
-    # The search visits one of each pair +-(z1, z2), 2n pairs on shell n, so
-    # stopping before shell N (the first n with n*det > m*max norm) costs
-    # (N - 1)*N sign_key calls; QuadrantBasis checks its two vectors with two
-    # more.  Full shells or a lost stop test change the count on any host.
-    calls = []
+def _record_walk(monkeypatch, basis):
+    """Run quadrant_basis on basis; return the points its walk visits and the
+    points it keys, each in walk order, and the QuadrantBasis.
+
+    A point is keyed when sign_key runs on it.  Until both bests exist every
+    visited point is keyed; after that the walk takes each point's norm,
+    abs(x) + abs(y), and keys it only if the norm is small enough.  A
+    recording abs set on the lattice module sees the norm's two calls, told
+    apart from the function's other abs calls by their source line.  A key
+    that does not follow its own point's norm counts as one more visit, so
+    every keyed point is a visited one and a stray key shows as a visit.
+    """
+    source, first = inspect.getsourcelines(lattice.quadrant_basis)
+    norm_line = first + next(i for i, text in enumerate(source) if "abs(x) + abs(y)" in text)
+    events = []
     real = lattice.sign_key
 
-    def counting(x, y):
-        calls.append((x, y))
+    def recording_abs(value):
+        if sys._getframe(1).f_lineno == norm_line:
+            events.append(("norm", value))
+        return abs(value)
+
+    def recording_key(x, y):
+        events.append(("key", x, y))
         return real(x, y)
 
-    monkeypatch.setattr(lattice, "sign_key", counting)
-    quadrant_basis(LatticeBasis(Vec2(*u), Vec2(*v)))
-    assert len(calls) == count
+    monkeypatch.setattr(lattice, "abs", recording_abs, raising=False)
+    monkeypatch.setattr(lattice, "sign_key", recording_key)
+    qb = quadrant_basis(basis)
+    # QuadrantBasis checks its two vectors with the last two keys.
+    assert events[-2:] == [("key", qb.u1.x, qb.u1.y), ("key", qb.u2.x, qb.u2.y)]
+    del events[-2:]
+    visited, keyed = [], []
+    i = 0
+    while i < len(events):
+        if events[i][0] == "norm":
+            assert events[i + 1][0] == "norm"
+            point = (events[i][1], events[i + 1][1])
+            i += 2
+            if i < len(events) and events[i] == ("key", *point):
+                keyed.append(point)
+                i += 1
+        else:
+            point = events[i][1:]
+            keyed.append(point)
+            i += 1
+        visited.append(point)
+    return visited, keyed, qb
+
+
+# The search's work on the sheared family (1,1),(k,k+1), whose bests both
+# exist only near the stop shell, and on the unbalanced (1,0),(0,50), whose
+# bests exist from shell 2.
+WORK_BASES = ((1, 1), (10, 11)), ((1, 1), (30, 31)), ((1, 1), (100, 101)), ((1, 0), (0, 50))
+
+
+@pytest.mark.parametrize(
+    "u, v, count",
+    [(*base, count) for base, count in zip(WORK_BASES, (553, 4033, 41413, 55))],
+)
+def test_quadrant_basis_work_is_pinned_as_a_key_count(monkeypatch, u, v, count):
+    # The walk keys every point it visits until both bests exist, then only
+    # the points no longer than the larger best norm, so the number of keyed
+    # points pins the filter's bound and when it starts, on any host.
+    _, keyed, _ = _record_walk(monkeypatch, LatticeBasis(Vec2(*u), Vec2(*v)))
+    assert len(keyed) == count
 
 
 @pytest.mark.parametrize(
     "u, v, shells",
-    [((1, 1), (10, 11), 25), ((1, 1), (30, 31), 65), ((1, 1), (100, 101), 205),
-     ((1, 0), (0, 50), 52)],
+    [(*base, shells) for base, shells in zip(WORK_BASES, (25, 65, 205, 52))],
 )
 def test_quadrant_basis_visits_one_of_each_pair_before_the_stop(monkeypatch, u, v, shells):
-    # The key-count pin's bases, with N = shells its stop shell: the points
-    # keyed must be z1*u + z2*v, one of each +-(z1, z2) with 0 < |z1| + |z2|
-    # < N, each once, then QuadrantBasis's two vectors.  A walk that visits
-    # the right number of wrong points passes the count and fails here.
-    calls = []
-    real = lattice.sign_key
-
-    def recording(x, y):
-        calls.append((x, y))
-        return real(x, y)
-
-    monkeypatch.setattr(lattice, "sign_key", recording)
-    qb = quadrant_basis(LatticeBasis(Vec2(*u), Vec2(*v)))
+    # With N = shells the stop shell, the walk must visit z1*u + z2*v, one of
+    # each +-(z1, z2) with 0 < |z1| + |z2| < N, each once.  The points it
+    # keys must hold every one no longer than the larger of the two best
+    # norms: any of them may be a best or tie with one.
+    visited, keyed, qb = _record_walk(monkeypatch, LatticeBasis(Vec2(*u), Vec2(*v)))
     (ux, uy), (vx, vy) = u, v
     want = [
         (z1 * ux + z2 * vx, z1 * uy + z2 * vy)
@@ -329,8 +364,24 @@ def test_quadrant_basis_visits_one_of_each_pair_before_the_stop(monkeypatch, u, 
         for z2 in range(-shells, shells + 1)
         if 0 < z1 + abs(z2) < shells and (z1 > 0 or z2 > 0)
     ]
-    want += [(qb.u1.x, qb.u1.y), (qb.u2.x, qb.u2.y)]
-    assert Counter(calls) == Counter(want)
+    assert Counter(visited) == Counter(want)
+    w = max(l1_norm(qb.u1), l1_norm(qb.u2))
+    assert {(x, y) for x, y in want if abs(x) + abs(y) <= w} <= set(keyed)
+
+
+def test_quadrant_basis_refuses_a_pair_that_is_not_a_basis(monkeypatch):
+    # Rank every point of Z^2 off its index-2 sublattice {x + y even} as far
+    # too long, so that both bests come from the sublattice: their
+    # determinant is even, and the basis check must refuse them.
+    real = lattice.sign_key
+
+    def sublattice_first(x, y):
+        norm, ay, ax = real(x, y)
+        return (norm if (x + y) % 2 == 0 else norm + 10**9), ay, ax
+
+    monkeypatch.setattr(lattice, "sign_key", sublattice_first)
+    with pytest.raises(RuntimeError, match="quadrant pair is not a lattice basis"):
+        quadrant_basis(UNIT)
 
 
 # Bases where a step of the shell walk, u - v or u + v, or a basis vector has a

@@ -1,13 +1,18 @@
-"""Exact outputs pinned by one digest.
+"""Exact outputs pinned by digests.
 
-Seeded tilings over integer and rational bases, of five kinds: optimal, one
-rectangle (axis cycles), split, duplicated, and split with one rectangle
-shifted off the lattice (refused by boundary cancellation, not by area).  For
-each, the digest covers the ``verify_tiling`` report, the ``skeleton``
-command's stdout, stderr and exit code, the decomposition of a
+``DIGEST`` covers seeded tilings over integer and rational bases, of five
+kinds: optimal, one rectangle (axis cycles), split, duplicated, and split with
+one rectangle shifted off the lattice (refused by boundary cancellation, not
+by area).  For each, the digest covers the ``verify_tiling`` report, the
+``skeleton`` command's stdout, stderr and exit code, the decomposition of a
 ``dataclasses.replace`` copy of the skeleton (which places its edges afresh)
 and the ``reduce`` trace, or the error each call raised.  A change to any of
 these outputs changes the digest.
+
+``MINLEN_DIGEST`` covers ``min_length(basis).to_json_dict()`` over seeded
+integer and rational bases, the sheared family (1,1),(k,k+1), small bases
+sheared by up to 200 and the unbalanced family (1,0),(s,N) with N up to 300,
+so that it pins the quadrant search on lattices that take it many shells.
 """
 
 import dataclasses
@@ -17,12 +22,15 @@ import random
 
 from torus_rect_tiler import (
     Axis,
+    LatticeBasis,
     Rect,
     Tiling,
+    Vec2,
     build_one_rect,
     build_optimal,
     build_skeleton,
     decompose_axis_paths,
+    min_length,
     reduce_tiling_with_trace,
     tiling_length,
     tiling_to_json_dict,
@@ -32,6 +40,7 @@ from torus_rect_tiler.cli import main
 from conftest import random_int_basis, random_rational_basis, random_split_tiling
 
 DIGEST = "72b7298bd973fb983b0d5151eb5e829bdfe815e5d36d422a9df53dc69baf3c7b"
+MINLEN_DIGEST = "0cd8658b93e04acbc231dc03cc259f60c4c67ebebbf68bf1696ab08978555559"
 
 
 def _shifted(rng: random.Random, tiling: Tiling) -> Tiling:
@@ -95,3 +104,26 @@ def test_outputs_match_the_pinned_digest(tmp_path, capsys):
     )
     assert refused_by_cancellation == 40
     assert digest.hexdigest() == DIGEST
+
+
+def _minlen_bases():
+    rng = random.Random(31)
+    for trial in range(200):
+        yield random_rational_basis(rng) if trial % 2 else random_int_basis(rng)
+    for k in (1, 2, 3, 5, 8, 13, 40, 99, 150, 200):
+        yield LatticeBasis(Vec2(1, 1), Vec2(k, k + 1))
+    for _ in range(12):
+        base = random_int_basis(rng, bound=2)
+        k = rng.randint(2, 200)
+        u, v = (base.u, base.v) if rng.random() < 0.5 else (base.v, base.u)
+        yield LatticeBasis(u, v + u.scaled(k))
+    for n in (1, 2, 7, 30, 100, 211, 300):
+        yield LatticeBasis(Vec2(1, 0), Vec2(rng.randrange(n), n))
+
+
+def test_minlen_outputs_match_the_pinned_digest():
+    digest = hashlib.sha256()
+    for basis in _minlen_bases():
+        doc = [list(map(str, basis.entries)), min_length(basis).to_json_dict()]
+        digest.update(json.dumps(doc, sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == MINLEN_DIGEST
