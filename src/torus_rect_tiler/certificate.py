@@ -8,10 +8,11 @@ it; only emitted values become fractions.  Each line family is read off the
 integer Hermite form {a*(d_x, 0) + b*(shear, g_y)} of the cleared lattice
 (``lattice.axis_forms``), and ``_locate``, the one model of a line, maps a
 point to its line and its start along it with one divmod and one remainder.
-The certificate's placement (``_Placement``) holds each certified side as
-(start, length) on its line.  The certificate counts side endpoints; the
-other readers link segments (sides or skeleton edges) end to start
-(``_chains``) or cut a line into arcs at the sorted endpoints (``_cuts``).
+The certificate's placement (``_Placement``), which only ``_certify``
+writes, holds each certified side as (start, length) on its line.  The
+certificate counts side endpoints; the other readers link segments (sides or
+skeleton edges) end to start (``_chains``) or cut a line into arcs at the
+sorted endpoints (``_cuts``).
 
 Validity is certified by a degree argument (``_certify``).  Let f count the
 rectangles over each torus point.  Crossing a horizontal line upward, f
@@ -81,15 +82,13 @@ def _locate(forms: dict, orientation: str, x: int, y: int) -> tuple[_LineId, int
 
 
 class _Placement:
-    """The certificate's state (``_certify``): the certified boxes, their
-    area, their length (the sum of their half-perimeters), the Hermite form
-    of each line family by orientation, and the boxes' sides, each under its
-    own key, held by torus line as (start, length) (``_locate``).
-
-    ``put`` and ``drop`` change sides and record the lines they leave or join
-    in ``touched``, so an edit that moves a few sides counts again only on
-    those lines.  Side values, line keys, cuts and arc lengths are integers
-    over the denominator of the cleared basis.
+    """The certificate's state, written only by ``_certify``: the certified
+    boxes, their area, their length (the sum of their half-perimeters), the
+    Hermite form of each line family by orientation, and the boxes' sides,
+    each under its own key, held by torus line as (start, length)
+    (``_locate``), with the line each key lies on.  Side values, line keys,
+    cuts and arc lengths are integers over the denominator of the cleared
+    basis.
     """
 
     def __init__(self, cleared: _Ints):
@@ -99,28 +98,7 @@ class _Placement:
         self.area = 0  # of those boxes
         self.length = 0  # their half-perimeters summed
         self.on_line: dict[_LineId, dict] = {}  # line -> {key: (start, length)}
-        self.line_of: dict = {}
-        self.touched: set[_LineId] = set()
-
-    def put(self, key, orientation: str, x: int, y: int, length: int) -> None:
-        line_id, start = _locate(self.forms, orientation, x, y)
-        segment = (start, length)
-        placed = self.line_of.get(key)
-        if placed is not None:
-            if placed == line_id and self.on_line[line_id][key] == segment:
-                return
-            self.drop(key)
-        segments = self.on_line.get(line_id)
-        if segments is None:
-            self.on_line[line_id] = segments = {}
-        segments[key] = segment
-        self.line_of[key] = line_id
-        self.touched.add(line_id)
-
-    def drop(self, key) -> None:
-        line_id = self.line_of.pop(key)
-        del self.on_line[line_id][key]
-        self.touched.add(line_id)
+        self.line_of: dict = {}  # key -> line
 
 
 def _chains(segments: dict[int, int], period: int) -> list[list[int]]:
@@ -197,9 +175,12 @@ def _certify(
     placement's boxes, their area, their length and their sides, keyed (box
     id, side index) as in ``_cancels``.  Returns the touched lines that are
     axis cycles, sorted (often none: test the result with ``is None``), when
-    the edited boxes tile the torus, and None when they do not.  Lines left
-    without sides are dropped from the placement, and ``placement.touched``
-    is cleared; no line is cut into arcs.
+    the edited boxes tile the torus, and None when they do not.  A line is
+    touched when a side leaves or joins it: a side whose line, start and
+    length are unchanged touches none, a moved side leaves its old line for
+    its new one, and a dropped box leaves the lines of all four sides.  Lines
+    left without sides are dropped from the placement, and no line is cut
+    into arcs.
 
     Exact, by the degree argument of the module docstring, when the boxes
     placed before either tiled the torus or were none: so a whole tiling is
@@ -233,22 +214,37 @@ def _certify(
         for x0, x1, y0, y1 in filter(None, edits.values())
     ):
         return None
-    put, drop = placement.put, placement.drop
+    forms, on_line, line_of = placement.forms, placement.on_line, placement.line_of
+    touched: set[_LineId] = set()
     for k, box in edits.items():
-        if box:
-            x0, x1, y0, y1 = box
-            put((k, 0), "h", x0, y0, x1 - x0)
-            put((k, 1), "h", x0, y1, x1 - x0)
-            put((k, 2), "v", x0, y0, y1 - y0)
-            put((k, 3), "v", x1, y0, y1 - y0)
-        else:
+        if not box:
             for side in range(4):
-                drop((k, side))
-    on_line, touched = placement.on_line, []
-    for line_id in sorted(placement.touched):
-        if on_line[line_id]:
-            touched.append(line_id)
-        else:
+                line_id = line_of.pop((k, side))
+                del on_line[line_id][k, side]
+                touched.add(line_id)
+            continue
+        x0, x1, y0, y1 = box
+        w, h = x1 - x0, y1 - y0
+        for key, orientation, x, y, n in (
+            ((k, 0), "h", x0, y0, w),
+            ((k, 1), "h", x0, y1, w),
+            ((k, 2), "v", x0, y0, h),
+            ((k, 3), "v", x1, y0, h),
+        ):
+            line_id, start = _locate(forms, orientation, x, y)
+            old = line_of.get(key)
+            if old is not None:
+                if old == line_id and on_line[old][key] == (start, n):
+                    continue  # an unchanged side touches no line
+                del on_line[old][key]
+                touched.add(old)
+            segments = on_line.get(line_id)
+            if segments is None:
+                on_line[line_id] = segments = {}
+            segments[key] = start, n
+            line_of[key] = line_id
+            touched.add(line_id)
+    for line_id in touched:
+        if not on_line[line_id]:
             del on_line[line_id]
-    placement.touched.clear()
-    return _cancels(placement, touched)
+    return _cancels(placement, sorted(touched.intersection(on_line)))

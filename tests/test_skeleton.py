@@ -194,16 +194,17 @@ def test_certificate_agrees_with_full_verification_on_edge_cases(monkeypatch):
         # Area 1 but n circumferences wide: refused before any side is placed.
         Tiling(UNIT, (Rect(0, n, 0, Fraction(1, n)),)),
     ]
-    puts = 0
-    put = certificate._Placement.put
+    # _certify locates each side it places, once.
+    placed = 0
+    locate = certificate._locate
 
-    def counting(self, *args):
-        nonlocal puts
-        puts += 1
-        return put(self, *args)
+    def counting(*args):
+        nonlocal placed
+        placed += 1
+        return locate(*args)
 
-    monkeypatch.setattr(certificate._Placement, "put", counting)
-    verdicts, edit_puts = [], []
+    monkeypatch.setattr(certificate, "_locate", counting)
+    verdicts, edit_placed = [], []
     for t in cases:
         den, cleared, boxes = _clear(t)
         whole = _certify(_Placement(cleared), dict(enumerate(boxes)))
@@ -217,16 +218,16 @@ def test_certificate_agrees_with_full_verification_on_edge_cases(monkeypatch):
         den, cleared, boxes = _clear(Tiling(t.basis, one_rect + t.rects))
         placement = _Placement(cleared)
         assert _certify(placement, {0: boxes[0]}) is not None
-        puts = 0
+        placed = 0
         edits = dict(enumerate(boxes[1:]))
         edited = _certify(placement, edits) is not None
         assert edited == (not _violations(den, cleared, boxes[1:])), t
         assert placement.boxes == edits
-        edit_puts.append(puts)
+        edit_placed.append(placed)
     assert verdicts == [True, True, False, False, False, False, False]
     # A box that fails the area test or has a side longer than its line
     # places no side.
-    assert edit_puts == [4, 4, 0, 4, 0, 0, 0]
+    assert edit_placed == [4, 4, 0, 4, 0, 0, 0]
 
 
 def test_certificate_counts_the_sides_over_line_position_zero():
@@ -268,27 +269,48 @@ def test_certificate_counts_the_sides_over_line_position_zero():
         assert verify_tiling(t).valid == valid
 
 
+def test_a_certificate_that_refuses_a_valid_tiling_raises(monkeypatch):
+    # Only a broken certificate can refuse a tiling the pair scan finds no
+    # violation in; the scan then has no report to write.
+    monkeypatch.setattr(skeleton, "_certify", lambda placement, edits: None)
+    t = build_optimal(SKEWED_23)
+    message = "boundary cancellation refused a tiling that verifies"
+    with pytest.raises(RuntimeError, match=message):
+        verify_tiling(t)
+    with pytest.raises(RuntimeError, match=message):
+        build_skeleton(t)
+
+
+def test_a_line_that_cancels_without_bottom_length_raises():
+    # A bottom and a top side of length 0 at one point balance every count,
+    # but no side covers the line; no nondegenerate rectangle has such sides.
+    placement = _Placement((1, 0, 0, 1))
+    placement.on_line[("h", 0)] = {(0, 0): (0, 0), (0, 1): (0, 0)}
+    with pytest.raises(RuntimeError, match="has sides but no bottom side"):
+        certificate._cancels(placement, [("h", 0)])
+
+
 def test_certificate_refuses_a_side_that_wraps_its_line_before_placing(monkeypatch):
     # Area 1 over Z^2, but 20000 circumferences wide: placing the bottom
     # side would list one arc per turn around its line, about 500 kB here.
     n = 20_000
     t = Tiling(UNIT, (Rect(0, n, 0, Fraction(1, n)),))
-    puts = 0
-    put = certificate._Placement.put
+    placed = 0
+    locate = certificate._locate
 
-    def counting(self, *args):
-        nonlocal puts
-        puts += 1
-        return put(self, *args)
+    def counting(*args):
+        nonlocal placed
+        placed += 1
+        return locate(*args)
 
-    monkeypatch.setattr(certificate._Placement, "put", counting)
+    monkeypatch.setattr(certificate, "_locate", counting)
     tracemalloc.start()
     try:
         report = verify_tiling(t)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert puts == 0
+    assert placed == 0
     assert kinds(report) == {ViolationKind.INJECTIVITY}
     assert "lattice point (-19999, 0)" in report.violations[0].detail
     assert peak < 100_000
@@ -839,6 +861,15 @@ def placed_length(placement) -> int:
     return sum(x1 - x0 + y1 - y0 for x0, x1, y0, y1 in placement.boxes.values())
 
 
+def assert_placed_afresh(placement) -> None:
+    """A certified placement holds each side on the line, and under the key,
+    where a fresh placement certified on its boxes holds it."""
+    fresh = _Placement(placement.cleared)
+    assert _certify(fresh, dict(placement.boxes)) is not None
+    assert placement.on_line == fresh.on_line
+    assert placement.line_of == fresh.line_of
+
+
 def test_step_check_agrees_with_full_verification():
     rng = random.Random(53)
     valid = balanced_invalid = emptied = cycles = step_cycles = 0
@@ -866,6 +897,8 @@ def test_step_check_agrees_with_full_verification():
             assert whole is None or whole == recut_cycles(
                 whole_placement, whole_placement.on_line
             )
+            if whole is not None:
+                assert_placed_afresh(whole_placement)
             cycles += bool(whole)
             # A certificate refused on area places no side.
             ux, uy, vx, vy = cleared
@@ -898,6 +931,8 @@ def test_step_check_agrees_with_full_verification():
             assert step is None or step == recut_cycles(
                 placement, changed & after.keys()
             )
+            if step is not None:
+                assert_placed_afresh(placement)
             step_cycles += bool(step)
             valid += not full
             balanced_invalid += bool(full) and all(
@@ -1019,7 +1054,7 @@ def test_endpoint_chain_runs_match_the_recut_lines(monkeypatch, kind):
     assert reduced > 20 and cycles > 15 and steps > 60
     # A top side alone cannot cancel.
     placement = _Placement((1, 0, 0, 1))
-    placement.put((0, 1), "h", 0, 0, 1)
+    placement.on_line[("h", 0)] = {(0, 1): (0, 1)}
     assert certificate._cancels(placement, [("h", 0)]) is None
 
 
@@ -1151,6 +1186,37 @@ def test_valid_tilings_are_certified_without_a_pair_scan(monkeypatch, count):
     # rectangles, each rectangle with itself included.
     n = len(reduced.rects)
     assert n <= 2 and calls == n * (n + 1) // 2
+
+
+def square_grid(k: int, side: Fraction) -> Tiling:
+    """The k x k squares of this side that tile the torus over (k*side, 0),
+    (0, k*side)."""
+    basis = LatticeBasis(Vec2(k * side, 0), Vec2(0, k * side))
+    return Tiling(
+        basis,
+        tuple(
+            Rect(i * side, (i + 1) * side, j * side, (j + 1) * side)
+            for i in range(k)
+            for j in range(k)
+        ),
+    )
+
+
+@pytest.mark.parametrize("side", [Fraction(1), Fraction(2, 3)])
+def test_memory_per_rectangle_is_pinned(side):
+    # tracemalloc's peak per rectangle, on 2304 squares.  Python 3.10-3.13
+    # read 1,111 B for verify_tiling and 1,885-2,306 B for build_skeleton
+    # (the most on 3.10); each bound is about 15% above the largest reading.
+    k = 48
+    t = square_grid(k, side)
+    for call, bound in ((verify_tiling, 1280), (build_skeleton, 2650)):
+        tracemalloc.start()
+        try:
+            call(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / k**2 < bound, call.__name__
 
 
 def test_lower_bound_with_equality_only_unsplit():
